@@ -15,7 +15,6 @@
 #include "cxl/packet.hpp"
 #include "cxl/phy.hpp"
 #include "obs/metrics.hpp"
-#include "sim/stats.hpp"
 #include "sim/time.hpp"
 
 namespace teco::cxl {
@@ -64,7 +63,6 @@ class Link {
             queue_capacity) {}
 
   Delivery send(Direction dir, sim::Time t_ready, const Packet& pkt) {
-    count(pkt, 1);
     const std::uint64_t retried0 = channel(dir).stats().retried_flits;
     Delivery d = channel(dir).submit(faulted(dir, t_ready, pkt, 1), pkt);
     if (forwarder_ != nullptr) d = forwarder_->forward(dir, pkt, 1, d);
@@ -75,7 +73,6 @@ class Link {
 
   Delivery send_stream(Direction dir, sim::Time t_ready, const Packet& pkt,
                        std::uint64_t n) {
-    count(pkt, n);
     const std::uint64_t retried0 = channel(dir).stats().retried_flits;
     Delivery d =
         channel(dir).submit_stream(faulted(dir, t_ready, pkt, n), pkt, n);
@@ -115,7 +112,6 @@ class Link {
   }
 
   const PhyConfig& phy() const { return phy_; }
-  const sim::CounterSet& message_counts() const { return message_counts_; }
 
   std::uint64_t total_wire_bytes() const {
     return down_.stats().wire_bytes + up_.stats().wire_bytes;
@@ -124,7 +120,6 @@ class Link {
   void reset() {
     down_.reset();
     up_.reset();
-    message_counts_.reset();
   }
 
   /// Attach/detach the coherence invariant checker (nullptr to detach).
@@ -194,9 +189,6 @@ class Link {
                     std::uint64_t n) {
     if (fault_hook_ == nullptr) return t_ready;
     return t_ready + fault_hook_->transmit_delay(dir, t_ready, pkt, n);
-  }
-  void count(const Packet& pkt, std::uint64_t n) {
-    message_counts_.add(std::string(to_string(pkt.type)), n);
   }
 
   /// Flits a burst of `n` copies of `pkt` occupies on the wire. Control
@@ -312,7 +304,6 @@ class Link {
   obs::MetricsRegistry* metrics_ = nullptr;
   DirMetrics dir_metrics_[2];  ///< [0]=down/m2s, [1]=up/s2m.
   FlitCodec codec_;
-  sim::CounterSet message_counts_;
 };
 
 }  // namespace teco::cxl

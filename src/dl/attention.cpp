@@ -1,28 +1,12 @@
 #include "dl/attention.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <stdexcept>
 
-namespace teco::dl {
+#include "dl/loss.hpp"
 
-namespace {
-/// y[T,N] = x[T,M] * w^T + optional bias, for one sample's rows.
-void matmul_rows(const float* x, std::size_t t, std::size_t m,
-                 const float* w, std::size_t n, const float* bias,
-                 float* y) {
-  for (std::size_t i = 0; i < t; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      float acc = bias != nullptr ? bias[j] : 0.0f;
-      for (std::size_t kk = 0; kk < m; ++kk) {
-        acc += x[i * m + kk] * w[j * m + kk];
-      }
-      y[i * n + j] = acc;
-    }
-  }
-}
-}  // namespace
+namespace teco::dl {
 
 TinyTransformer::TinyTransformer(TransformerConfig cfg) : cfg_(cfg) {
   const std::size_t d = cfg_.d_model, f = cfg_.d_ff, o = cfg_.out_dim;
@@ -75,12 +59,8 @@ const Tensor& TinyTransformer::forward(const Tensor& x) {
   }
   batch_ = x.rows();
   const std::size_t rows = batch_ * t;
-  x_ = Tensor(rows, d);
-  for (std::size_t b = 0; b < batch_; ++b) {
-    for (std::size_t i = 0; i < t * d; ++i) {
-      x_.flat()[b * t * d + i] = x.at(b, i);
-    }
-  }
+  x_ = Tensor(rows, d);  // Same bytes: [B, T*D] read as [B*T, D].
+  std::copy(x.flat().begin(), x.flat().end(), x_.data());
   q_ = Tensor(rows, d);
   k_ = Tensor(rows, d);
   v_ = Tensor(rows, d);
@@ -92,286 +72,145 @@ const Tensor& TinyTransformer::forward(const Tensor& x) {
   pooled_ = Tensor(batch_, d);
   out_ = Tensor(batch_, o);
 
+  // Weights are shared across samples, so every projection runs once over
+  // all B*T rows; only the T x T attention core is per sample.
+  const float* w = params_.data();
+  gemm(Op::kN, Op::kT, rows, d, d, x_.data(), w + lay_.wq, q_.data());
+  gemm(Op::kN, Op::kT, rows, d, d, x_.data(), w + lay_.wk, k_.data());
+  gemm(Op::kN, Op::kT, rows, d, d, x_.data(), w + lay_.wv, v_.data());
+
   const float inv_sqrt_d = 1.0f / std::sqrt(static_cast<float>(d));
   for (std::size_t b = 0; b < batch_; ++b) {
-    const float* xb = x_.data() + b * t * d;
-    float* qb = q_.data() + b * t * d;
-    float* kb = k_.data() + b * t * d;
-    float* vb = v_.data() + b * t * d;
-    matmul_rows(xb, t, d, params_.data() + lay_.wq, d, nullptr, qb);
-    matmul_rows(xb, t, d, params_.data() + lay_.wk, d, nullptr, kb);
-    matmul_rows(xb, t, d, params_.data() + lay_.wv, d, nullptr, vb);
-
+    const float* qb = q_.data() + b * t * d;
+    const float* kb = k_.data() + b * t * d;
+    const float* vb = v_.data() + b * t * d;
     // P = softmax(Q K^T / sqrt(d)), row per query position.
     float* pb = p_.data() + b * t * t;
+    gemm(Op::kN, Op::kT, t, t, d, qb, kb, pb);
     for (std::size_t i = 0; i < t; ++i) {
+      float* row = pb + i * t;
       float mx = -1e30f;
       for (std::size_t j = 0; j < t; ++j) {
-        float s = 0.0f;
-        for (std::size_t e = 0; e < d; ++e) {
-          s += qb[i * d + e] * kb[j * d + e];
-        }
-        s *= inv_sqrt_d;
-        pb[i * t + j] = s;
-        mx = std::max(mx, s);
+        row[j] *= inv_sqrt_d;
+        mx = std::max(mx, row[j]);
       }
       float zsum = 0.0f;
       for (std::size_t j = 0; j < t; ++j) {
-        pb[i * t + j] = std::exp(pb[i * t + j] - mx);
-        zsum += pb[i * t + j];
+        row[j] = std::exp(row[j] - mx);
+        zsum += row[j];
       }
-      for (std::size_t j = 0; j < t; ++j) pb[i * t + j] /= zsum;
+      for (std::size_t j = 0; j < t; ++j) row[j] /= zsum;
     }
-
-    // H = P V ; R1 = X + H Wo.
-    float* hb = h_.data() + b * t * d;
-    for (std::size_t i = 0; i < t; ++i) {
-      for (std::size_t e = 0; e < d; ++e) {
-        float acc = 0.0f;
-        for (std::size_t j = 0; j < t; ++j) {
-          acc += pb[i * t + j] * vb[j * d + e];
-        }
-        hb[i * d + e] = acc;
-      }
-    }
-    float* r1b = r1_.data() + b * t * d;
-    matmul_rows(hb, t, d, params_.data() + lay_.wo, d, nullptr, r1b);
-    for (std::size_t i = 0; i < t * d; ++i) r1b[i] += xb[i];
-
-    // MLP with residual.
-    float* zb = z_.data() + b * t * f;
-    matmul_rows(r1b, t, d, params_.data() + lay_.w1, f,
-                params_.data() + lay_.b1, zb);
-    for (std::size_t i = 0; i < t * f; ++i) zb[i] = std::tanh(zb[i]);
-    float* r2b = r2_.data() + b * t * d;
-    matmul_rows(zb, t, f, params_.data() + lay_.w2, d,
-                params_.data() + lay_.b2, r2b);
-    for (std::size_t i = 0; i < t * d; ++i) r2b[i] += r1b[i];
-
-    // Mean-pool + readout.
-    for (std::size_t e = 0; e < d; ++e) {
-      float acc = 0.0f;
-      for (std::size_t i = 0; i < t; ++i) acc += r2b[i * d + e];
-      pooled_.at(b, e) = acc / static_cast<float>(t);
-    }
-    matmul_rows(pooled_.data() + b * d, 1, d, params_.data() + lay_.wr, o,
-                params_.data() + lay_.br, out_.data() + b * o);
+    // H = P V.
+    gemm(Op::kN, Op::kN, t, d, t, pb, vb, h_.data() + b * t * d);
   }
+
+  // R1 = X + H Wo.
+  gemm(Op::kN, Op::kT, rows, d, d, h_.data(), w + lay_.wo, r1_.data());
+  for (std::size_t i = 0; i < rows * d; ++i) r1_.flat()[i] += x_.flat()[i];
+
+  // MLP with residual.
+  fill_rows(z_, P(lay_.b1, f));
+  gemm(Op::kN, Op::kT, rows, f, d, r1_.data(), w + lay_.w1, z_.data());
+  for (auto& v : z_.flat()) v = std::tanh(v);
+  fill_rows(r2_, P(lay_.b2, d));
+  gemm(Op::kN, Op::kT, rows, d, f, z_.data(), w + lay_.w2, r2_.data());
+  for (std::size_t i = 0; i < rows * d; ++i) r2_.flat()[i] += r1_.flat()[i];
+
+  // Mean-pool (ones^T R2 per sample) + readout.
+  const std::vector<float> ones(t, 1.0f);
+  for (std::size_t b = 0; b < batch_; ++b) {
+    gemm(Op::kN, Op::kN, 1, d, t, ones.data(), r2_.data() + b * t * d,
+         pooled_.data() + b * d);
+  }
+  for (auto& v : pooled_.flat()) v /= static_cast<float>(t);
+  fill_rows(out_, P(lay_.br, o));
+  gemm(Op::kN, Op::kT, batch_, o, d, pooled_.data(), w + lay_.wr,
+       out_.data());
   return out_;
 }
 
 float TinyTransformer::backward(const Tensor& targets) {
   std::fill(grads_.begin(), grads_.end(), 0.0f);
   const std::size_t t = cfg_.seq_len, d = cfg_.d_model, f = cfg_.d_ff,
-                    o = cfg_.out_dim;
+                    o = cfg_.out_dim, rows = batch_ * t;
   const float inv_sqrt_d = 1.0f / std::sqrt(static_cast<float>(d));
+  const float* w = params_.data();
+  float* g = grads_.data();
+  // Bias gradients are column sums, ones^T dY.
+  const std::vector<float> ones(rows, 1.0f);
 
-  // Loss gradient w.r.t. the readout, per sample.
   Tensor dout(batch_, o);
-  double loss = 0.0;
-  if (cfg_.output == OutputKind::kRegression) {
-    assert(targets.rows() == batch_ && targets.cols() == o);
-    const double inv = 1.0 / static_cast<double>(batch_ * o);
-    for (std::size_t b = 0; b < batch_; ++b) {
-      for (std::size_t j = 0; j < o; ++j) {
-        const float diff = out_.at(b, j) - targets.at(b, j);
-        loss += static_cast<double>(diff) * diff * inv;
-        dout.at(b, j) = static_cast<float>(2.0 * inv) * diff;
-      }
-    }
-  } else {
-    assert(targets.rows() == batch_ && targets.cols() == 1);
-    const double invb = 1.0 / static_cast<double>(batch_);
-    for (std::size_t b = 0; b < batch_; ++b) {
-      float mx = out_.at(b, 0);
-      for (std::size_t j = 1; j < o; ++j) mx = std::max(mx, out_.at(b, j));
-      double zsum = 0.0;
-      for (std::size_t j = 0; j < o; ++j) {
-        zsum += std::exp(static_cast<double>(out_.at(b, j) - mx));
-      }
-      const auto label = static_cast<std::size_t>(targets.at(b, 0));
-      for (std::size_t j = 0; j < o; ++j) {
-        const double pr =
-            std::exp(static_cast<double>(out_.at(b, j) - mx)) / zsum;
-        dout.at(b, j) =
-            static_cast<float>((pr - (j == label ? 1.0 : 0.0)) * invb);
-        if (j == label) loss -= std::log(std::max(pr, 1e-12)) * invb;
-      }
-    }
+  const double loss = cfg_.output == OutputKind::kRegression
+                          ? mse_head(out_, targets, dout)
+                          : softmax_xent_head(out_, targets, dout);
+
+  // Readout: out = pooled Wr^T + br.
+  gemm(Op::kN, Op::kN, 1, o, batch_, ones.data(), dout.data(), g + lay_.br);
+  gemm(Op::kT, Op::kN, o, d, batch_, dout.data(), pooled_.data(),
+       g + lay_.wr);
+  // dpooled / T spreads uniformly over a sample's positions (mean pool).
+  Tensor dpooled(batch_, d);
+  gemm(Op::kN, Op::kN, batch_, d, o, dout.data(), w + lay_.wr,
+       dpooled.data());
+  for (auto& v : dpooled.flat()) v /= static_cast<float>(t);
+  Tensor dr2(rows, d);
+  for (std::size_t r = 0; r < rows; ++r) {
+    std::copy_n(dpooled.data() + (r / t) * d, d, dr2.data() + r * d);
   }
 
-  // Scratch buffers reused per sample.
-  std::vector<float> dr2(t * d), dz(t * f), dpre(t * f), dr1(t * d);
-  std::vector<float> dh(t * d), dp(t * t), ds(t * t), dq(t * d), dk(t * d),
-      dv(t * d);
+  // MLP backward: R2 = R1 + (tanh(R1 W1 + b1) W2 + b2).
+  Tensor dpre(rows, f);
+  gemm(Op::kN, Op::kN, rows, f, d, dr2.data(), w + lay_.w2, dpre.data());
+  for (std::size_t i = 0; i < rows * f; ++i) {
+    const float zz = z_.flat()[i];
+    dpre.flat()[i] *= 1.0f - zz * zz;
+  }
+  gemm(Op::kN, Op::kN, 1, d, rows, ones.data(), dr2.data(), g + lay_.b2);
+  gemm(Op::kT, Op::kN, d, f, rows, dr2.data(), z_.data(), g + lay_.w2);
+  gemm(Op::kN, Op::kN, 1, f, rows, ones.data(), dpre.data(), g + lay_.b1);
+  gemm(Op::kT, Op::kN, f, d, rows, dpre.data(), r1_.data(), g + lay_.w1);
+  Tensor dr1 = dr2;  // Residual path.
+  gemm(Op::kN, Op::kN, rows, d, f, dpre.data(), w + lay_.w1, dr1.data());
 
+  // Attention output: R1 = X + H Wo^T.
+  gemm(Op::kT, Op::kN, d, d, rows, dr1.data(), h_.data(), g + lay_.wo);
+  Tensor dh(rows, d);
+  gemm(Op::kN, Op::kN, rows, d, d, dr1.data(), w + lay_.wo, dh.data());
+
+  Tensor dp(rows, t), dq(rows, d), dk(rows, d), dv(rows, d);
   for (std::size_t b = 0; b < batch_; ++b) {
-    const float* xb = x_.data() + b * t * d;
-    const float* qb = q_.data() + b * t * d;
-    const float* kb = k_.data() + b * t * d;
-    const float* vb = v_.data() + b * t * d;
+    const std::size_t at = b * t * d;
     const float* pb = p_.data() + b * t * t;
-    const float* hb = h_.data() + b * t * d;
-    const float* r1b = r1_.data() + b * t * d;
-    const float* zb = z_.data() + b * t * f;
-
-    // Readout: out = pooled Wr^T + br.
-    const float* pooled = pooled_.data() + b * d;
-    for (std::size_t j = 0; j < o; ++j) {
-      const float g = dout.at(b, j);
-      G(lay_.br, o)[j] += g;
-      for (std::size_t e = 0; e < d; ++e) {
-        G(lay_.wr, o * d)[j * d + e] += g * pooled[e];
-      }
-    }
-    // dpooled -> spread uniformly over positions (mean pool).
-    for (std::size_t i = 0; i < t; ++i) {
-      for (std::size_t e = 0; e < d; ++e) {
-        float acc = 0.0f;
-        for (std::size_t j = 0; j < o; ++j) {
-          acc += dout.at(b, j) * params_[lay_.wr + j * d + e];
-        }
-        dr2[i * d + e] = acc / static_cast<float>(t);
-      }
-    }
-
-    // MLP backward: R2 = R1 + (tanh(R1 W1 + b1) W2 + b2).
-    for (std::size_t i = 0; i < t; ++i) {
-      for (std::size_t ff = 0; ff < f; ++ff) {
-        float acc = 0.0f;
-        for (std::size_t e = 0; e < d; ++e) {
-          acc += dr2[i * d + e] * params_[lay_.w2 + e * f + ff];
-        }
-        dz[i * f + ff] = acc;
-        const float zz = zb[i * f + ff];
-        dpre[i * f + ff] = acc * (1.0f - zz * zz);
-      }
-    }
-    for (std::size_t e = 0; e < d; ++e) {
-      for (std::size_t i = 0; i < t; ++i) {
-        G(lay_.b2, d)[e] += dr2[i * d + e];
-        for (std::size_t ff = 0; ff < f; ++ff) {
-          G(lay_.w2, d * f)[e * f + ff] += dr2[i * d + e] * zb[i * f + ff];
-        }
-      }
-    }
-    for (std::size_t ff = 0; ff < f; ++ff) {
-      for (std::size_t i = 0; i < t; ++i) {
-        G(lay_.b1, f)[ff] += dpre[i * f + ff];
-        for (std::size_t e = 0; e < d; ++e) {
-          G(lay_.w1, f * d)[ff * d + e] += dpre[i * f + ff] * r1b[i * d + e];
-        }
-      }
-    }
-    for (std::size_t i = 0; i < t; ++i) {
-      for (std::size_t e = 0; e < d; ++e) {
-        float acc = dr2[i * d + e];  // Residual path.
-        for (std::size_t ff = 0; ff < f; ++ff) {
-          acc += dpre[i * f + ff] * params_[lay_.w1 + ff * d + e];
-        }
-        dr1[i * d + e] = acc;
-      }
-    }
-
-    // Attention output: R1 = X + H Wo^T (rows convention of matmul_rows).
-    for (std::size_t j = 0; j < d; ++j) {
-      for (std::size_t i = 0; i < t; ++i) {
-        for (std::size_t e = 0; e < d; ++e) {
-          G(lay_.wo, d * d)[j * d + e] += dr1[i * d + j] * hb[i * d + e];
-        }
-      }
-    }
-    for (std::size_t i = 0; i < t; ++i) {
-      for (std::size_t e = 0; e < d; ++e) {
-        float acc = 0.0f;
-        for (std::size_t j = 0; j < d; ++j) {
-          acc += dr1[i * d + j] * params_[lay_.wo + j * d + e];
-        }
-        dh[i * d + e] = acc;
-      }
-    }
-
+    float* dpb = dp.data() + b * t * t;
     // H = P V.
-    for (std::size_t i = 0; i < t; ++i) {
-      for (std::size_t j = 0; j < t; ++j) {
-        float acc = 0.0f;
-        for (std::size_t e = 0; e < d; ++e) {
-          acc += dh[i * d + e] * vb[j * d + e];
-        }
-        dp[i * t + j] = acc;
-      }
-    }
-    for (std::size_t j = 0; j < t; ++j) {
-      for (std::size_t e = 0; e < d; ++e) {
-        float acc = 0.0f;
-        for (std::size_t i = 0; i < t; ++i) {
-          acc += pb[i * t + j] * dh[i * d + e];
-        }
-        dv[j * d + e] = acc;
-      }
-    }
-
-    // Softmax rows: dS = P * (dP - sum(dP * P)).
+    gemm(Op::kN, Op::kT, t, t, d, dh.data() + at, v_.data() + at, dpb);
+    gemm(Op::kT, Op::kN, t, d, t, pb, dh.data() + at, dv.data() + at);
+    // Softmax rows: dS = P * (dP - sum(dP * P)), in place over dP.
     for (std::size_t i = 0; i < t; ++i) {
       float dot = 0.0f;
+      gemm(Op::kN, Op::kT, 1, 1, t, dpb + i * t, pb + i * t, &dot);
       for (std::size_t j = 0; j < t; ++j) {
-        dot += dp[i * t + j] * pb[i * t + j];
-      }
-      for (std::size_t j = 0; j < t; ++j) {
-        ds[i * t + j] = pb[i * t + j] * (dp[i * t + j] - dot);
+        dpb[i * t + j] = pb[i * t + j] * (dpb[i * t + j] - dot);
       }
     }
-
     // S = Q K^T / sqrt(d).
-    for (std::size_t i = 0; i < t; ++i) {
-      for (std::size_t e = 0; e < d; ++e) {
-        float acc = 0.0f;
-        for (std::size_t j = 0; j < t; ++j) {
-          acc += ds[i * t + j] * kb[j * d + e];
-        }
-        dq[i * d + e] = acc * inv_sqrt_d;
-      }
-    }
-    for (std::size_t j = 0; j < t; ++j) {
-      for (std::size_t e = 0; e < d; ++e) {
-        float acc = 0.0f;
-        for (std::size_t i = 0; i < t; ++i) {
-          acc += ds[i * t + j] * qb[i * d + e];
-        }
-        dk[j * d + e] = acc * inv_sqrt_d;
-      }
-    }
-
-    // Q|K|V = X Wq|Wk|Wv (rows convention).
-    auto accum_proj = [&](std::size_t w_off, const std::vector<float>& dy) {
-      for (std::size_t j = 0; j < d; ++j) {
-        for (std::size_t i = 0; i < t; ++i) {
-          for (std::size_t e = 0; e < d; ++e) {
-            G(w_off, d * d)[j * d + e] += dy[i * d + j] * xb[i * d + e];
-          }
-        }
-      }
-    };
-    accum_proj(lay_.wq, dq);
-    accum_proj(lay_.wk, dk);
-    accum_proj(lay_.wv, dv);
+    gemm(Op::kN, Op::kN, t, d, t, dpb, k_.data() + at, dq.data() + at);
+    gemm(Op::kT, Op::kN, t, d, t, dpb, q_.data() + at, dk.data() + at);
   }
+  for (auto& v : dq.flat()) v *= inv_sqrt_d;
+  for (auto& v : dk.flat()) v *= inv_sqrt_d;
+
+  // Q|K|V = X Wq|Wk|Wv^T.
+  gemm(Op::kT, Op::kN, d, d, rows, dq.data(), x_.data(), g + lay_.wq);
+  gemm(Op::kT, Op::kN, d, d, rows, dk.data(), x_.data(), g + lay_.wk);
+  gemm(Op::kT, Op::kN, d, d, rows, dv.data(), x_.data(), g + lay_.wv);
   return static_cast<float>(loss);
 }
 
 float TinyTransformer::accuracy(const Tensor& targets) const {
-  if (cfg_.output != OutputKind::kClassification || out_.rows() == 0) {
-    return 0.0f;
-  }
-  std::size_t correct = 0;
-  for (std::size_t b = 0; b < out_.rows(); ++b) {
-    std::size_t argmax = 0;
-    for (std::size_t j = 1; j < out_.cols(); ++j) {
-      if (out_.at(b, j) > out_.at(b, argmax)) argmax = j;
-    }
-    if (argmax == static_cast<std::size_t>(targets.at(b, 0))) ++correct;
-  }
-  return static_cast<float>(correct) / static_cast<float>(out_.rows());
+  if (cfg_.output != OutputKind::kClassification) return 0.0f;
+  return argmax_accuracy(out_, targets);
 }
 
 void TinyTransformer::load_params(std::span<const float> p) {

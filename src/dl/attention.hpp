@@ -58,9 +58,6 @@ class TinyTransformer final : public ModelBase {
   std::span<const float> P(std::size_t off, std::size_t count) const {
     return std::span<const float>(params_).subspan(off, count);
   }
-  std::span<float> G(std::size_t off, std::size_t count) {
-    return std::span<float>(grads_).subspan(off, count);
-  }
 
   TransformerConfig cfg_;
   Layout lay_{};

@@ -5,42 +5,9 @@
 #include <stdexcept>
 
 #include "dl/adam.hpp"
+#include "dl/loss.hpp"
 
 namespace teco::dl {
-
-namespace {
-
-/// out[N,C] = a[N,R] * w^T where w is [C,R] row-major.
-void matmul_wt(const Tensor& a, std::span<const float> w, std::size_t c,
-               Tensor& out) {
-  const std::size_t n = a.rows(), r = a.cols();
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < c; ++j) {
-      float acc = 0.0f;
-      for (std::size_t k = 0; k < r; ++k) {
-        acc += a.at(i, k) * w[j * r + k];
-      }
-      out.at(i, j) = acc;
-    }
-  }
-}
-
-/// out[N,H] = adj[N,N] * x[N,H] (adj symmetric).
-void spmm(const Tensor& adj, const Tensor& x, Tensor& out) {
-  const std::size_t n = adj.rows(), h = x.cols();
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t e = 0; e < h; ++e) out.at(i, e) = 0.0f;
-    for (std::size_t j = 0; j < n; ++j) {
-      const float a = adj.at(i, j);
-      if (a == 0.0f) continue;
-      for (std::size_t e = 0; e < h; ++e) {
-        out.at(i, e) += a * x.at(j, e);
-      }
-    }
-  }
-}
-
-}  // namespace
 
 SyntheticGraph make_synthetic_graph(const GraphConfig& cfg) {
   sim::Rng rng(cfg.seed);
@@ -132,26 +99,26 @@ float Gcnii::beta(std::size_t layer) const {
 
 const Tensor& Gcnii::forward(const SyntheticGraph& g) {
   const std::size_t n = g.n_nodes, h = cfg_.hidden;
+  const float* w = params_.data();
   h0_ = Tensor(n, h);
-  matmul_wt(g.features,
-            std::span<const float>(params_).subspan(w_in_off_,
-                                                    h * in_features_),
-            h, h0_);
+  gemm(Op::kN, Op::kT, n, h, in_features_, g.features.data(), w + w_in_off_,
+       h0_.data());
   for (auto& v : h0_.flat()) v = std::max(v, 0.0f);
 
   const Tensor* cur = &h0_;
   for (std::size_t l = 0; l < cfg_.n_layers; ++l) {
     const float a = cfg_.alpha, b = beta(l);
+    // The adjacency is sparse; gemm skips its zeros.
     p_[l] = Tensor(n, h);
-    spmm(g.norm_adj, *cur, p_[l]);
+    gemm(Op::kN, Op::kN, n, h, n, g.norm_adj.data(), cur->data(),
+         p_[l].data());
     for (std::size_t i = 0; i < n * h; ++i) {
       p_[l].flat()[i] = (1.0f - a) * p_[l].flat()[i] + a * h0_.flat()[i];
     }
     // M = (1-b) I + b W : pre = (1-b) P + b (P W^T).
     pre_[l] = Tensor(n, h);
-    matmul_wt(p_[l],
-              std::span<const float>(params_).subspan(w_off_[l], h * h), h,
-              pre_[l]);
+    gemm(Op::kN, Op::kT, n, h, h, p_[l].data(), w + w_off_[l],
+         pre_[l].data());
     for (std::size_t i = 0; i < n * h; ++i) {
       pre_[l].flat()[i] = (1.0f - b) * p_[l].flat()[i] +
                           b * pre_[l].flat()[i];
@@ -162,94 +129,54 @@ const Tensor& Gcnii::forward(const SyntheticGraph& g) {
   }
 
   logits_ = Tensor(n, n_classes_);
-  matmul_wt(*cur,
-            std::span<const float>(params_).subspan(w_out_off_,
-                                                    n_classes_ * h),
-            n_classes_, logits_);
+  gemm(Op::kN, Op::kT, n, n_classes_, h, cur->data(), w + w_out_off_,
+       logits_.data());
   return logits_;
 }
 
 float Gcnii::backward(const SyntheticGraph& g) {
   std::fill(grads_.begin(), grads_.end(), 0.0f);
   const std::size_t n = g.n_nodes, h = cfg_.hidden, c = n_classes_;
+  const float* w = params_.data();
 
   std::size_t n_train = 0;
   for (const bool m : g.train_mask) n_train += m ? 1 : 0;
   const double inv = n_train > 0 ? 1.0 / static_cast<double>(n_train) : 0.0;
 
-  // Softmax CE over train nodes only.
+  // Softmax CE over train nodes only; other rows of dlogits stay zero.
   Tensor dlogits(n, c);
   double loss = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
     if (!g.train_mask[i]) continue;
-    float mx = logits_.at(i, 0);
-    for (std::size_t j = 1; j < c; ++j) mx = std::max(mx, logits_.at(i, j));
-    double z = 0.0;
-    for (std::size_t j = 0; j < c; ++j) {
-      z += std::exp(static_cast<double>(logits_.at(i, j) - mx));
-    }
-    for (std::size_t j = 0; j < c; ++j) {
-      const double pr = std::exp(static_cast<double>(logits_.at(i, j) - mx)) / z;
-      dlogits.at(i, j) =
-          static_cast<float>((pr - (j == g.labels[i] ? 1.0 : 0.0)) * inv);
-      if (j == g.labels[i]) loss -= std::log(std::max(pr, 1e-12)) * inv;
-    }
+    loss += softmax_xent_row(logits_.data() + i * c, c, g.labels[i], inv,
+                             dlogits.data() + i * c);
   }
 
   // Readout: logits = H_L W_out^T.
   const Tensor& hl = cfg_.n_layers > 0 ? h_.back() : h0_;
+  gemm(Op::kT, Op::kN, c, h, n, dlogits.data(), hl.data(),
+       grads_.data() + w_out_off_);
   Tensor dh(n, h);
-  for (std::size_t j = 0; j < c; ++j) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const float gj = dlogits.at(i, j);
-      if (gj == 0.0f) continue;
-      for (std::size_t e = 0; e < h; ++e) {
-        grads_[w_out_off_ + j * h + e] += gj * hl.at(i, e);
-      }
-    }
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t e = 0; e < h; ++e) {
-      float acc = 0.0f;
-      for (std::size_t j = 0; j < c; ++j) {
-        acc += dlogits.at(i, j) * params_[w_out_off_ + j * h + e];
-      }
-      dh.at(i, e) = acc;
-    }
-  }
+  gemm(Op::kN, Op::kN, n, h, c, dlogits.data(), w + w_out_off_, dh.data());
 
   // Layers in reverse. dH0 accumulates the initial-residual contributions.
   Tensor dh0(n, h);
-  Tensor dp(n, h), dpre(n, h), tmp(n, h);
+  Tensor bdpre(n, h), dp(n, h), tmp(n, h);
   for (std::size_t l = cfg_.n_layers; l-- > 0;) {
     const float a = cfg_.alpha, b = beta(l);
-    // ReLU.
+    // ReLU, then pre = (1-b) P + b P W^T:
+    //   dW += (b dpre)^T P ;  dP = (1-b) dpre + (b dpre) W.
     for (std::size_t i = 0; i < n * h; ++i) {
-      dpre.flat()[i] = pre_[l].flat()[i] > 0.0f ? dh.flat()[i] : 0.0f;
+      const float dpre = pre_[l].flat()[i] > 0.0f ? dh.flat()[i] : 0.0f;
+      bdpre.flat()[i] = b * dpre;
+      dp.flat()[i] = (1.0f - b) * dpre;
     }
-    // pre = (1-b) P + b P W^T.
-    // dW[j,e] += b * sum_i dpre[i,j] P[i,e].
-    for (std::size_t j = 0; j < h; ++j) {
-      for (std::size_t i = 0; i < n; ++i) {
-        const float gj = b * dpre.at(i, j);
-        if (gj == 0.0f) continue;
-        for (std::size_t e = 0; e < h; ++e) {
-          grads_[w_off_[l] + j * h + e] += gj * p_[l].at(i, e);
-        }
-      }
-    }
-    // dP = (1-b) dpre + b dpre W.
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t e = 0; e < h; ++e) {
-        float acc = (1.0f - b) * dpre.at(i, e);
-        for (std::size_t j = 0; j < h; ++j) {
-          acc += b * dpre.at(i, j) * params_[w_off_[l] + j * h + e];
-        }
-        dp.at(i, e) = acc;
-      }
-    }
+    gemm(Op::kT, Op::kN, h, h, n, bdpre.data(), p_[l].data(),
+         grads_.data() + w_off_[l]);
+    gemm(Op::kN, Op::kN, n, h, h, bdpre.data(), w + w_off_[l], dp.data());
     // P = (1-a) A_hat H_prev + a H0 ; A_hat symmetric.
-    spmm(g.norm_adj, dp, tmp);
+    tmp.fill(0.0f);
+    gemm(Op::kN, Op::kN, n, h, n, g.norm_adj.data(), dp.data(), tmp.data());
     for (std::size_t i = 0; i < n * h; ++i) {
       dh.flat()[i] = (1.0f - a) * tmp.flat()[i];
       dh0.flat()[i] += a * dp.flat()[i];
@@ -263,15 +190,8 @@ float Gcnii::backward(const SyntheticGraph& g) {
   for (std::size_t i = 0; i < n * h; ++i) {
     if (h0_.flat()[i] <= 0.0f) dh.flat()[i] = 0.0f;
   }
-  for (std::size_t j = 0; j < h; ++j) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const float gj = dh.at(i, j);
-      if (gj == 0.0f) continue;
-      for (std::size_t e = 0; e < in_features_; ++e) {
-        grads_[w_in_off_ + j * in_features_ + e] += gj * g.features.at(i, e);
-      }
-    }
-  }
+  gemm(Op::kT, Op::kN, h, in_features_, n, dh.data(), g.features.data(),
+       grads_.data() + w_in_off_);
   return static_cast<float>(loss);
 }
 
@@ -280,11 +200,7 @@ float Gcnii::accuracy(const SyntheticGraph& g, bool on_train_mask) const {
   for (std::size_t i = 0; i < g.n_nodes; ++i) {
     if (g.train_mask[i] != on_train_mask) continue;
     ++total;
-    std::size_t argmax = 0;
-    for (std::size_t j = 1; j < n_classes_; ++j) {
-      if (logits_.at(i, j) > logits_.at(i, argmax)) argmax = j;
-    }
-    if (argmax == g.labels[i]) ++correct;
+    if (argmax_row(logits_, i) == g.labels[i]) ++correct;
   }
   return total == 0 ? 0.0f
                     : static_cast<float>(correct) / static_cast<float>(total);

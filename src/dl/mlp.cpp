@@ -1,9 +1,10 @@
 #include "dl/mlp.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <stdexcept>
+
+#include "dl/loss.hpp"
 
 namespace teco::dl {
 
@@ -41,11 +42,10 @@ const Tensor& Mlp::forward(const Tensor& x) {
   for (std::size_t l = 0; l < layers_.size(); ++l) {
     const auto& lv = layers_[l];
     pre_act_[l] = Tensor(cur->rows(), lv.out);
-    linear_forward(*cur,
-                   std::span<const float>(params_).subspan(lv.w_off,
-                                                           lv.in * lv.out),
-                   std::span<const float>(params_).subspan(lv.b_off, lv.out),
-                   pre_act_[l]);
+    fill_rows(pre_act_[l],
+              std::span<const float>(params_).subspan(lv.b_off, lv.out));
+    gemm(Op::kN, Op::kT, cur->rows(), lv.out, lv.in, cur->data(),
+         params_.data() + lv.w_off, pre_act_[l].data());
     post_act_[l] = pre_act_[l];
     if (l + 1 < layers_.size()) {
       for (auto& v : post_act_[l].flat()) v = std::tanh(v);
@@ -58,64 +58,30 @@ const Tensor& Mlp::forward(const Tensor& x) {
 float Mlp::backward(const Tensor& targets) {
   std::fill(grads_.begin(), grads_.end(), 0.0f);
   const Tensor& out = post_act_.back();
-  const std::size_t b = out.rows(), n = out.cols();
-  Tensor dout(b, n);
-  double loss = 0.0;
+  Tensor grad(out.rows(), out.cols());
+  const double loss = cfg_.output == OutputKind::kRegression
+                          ? mse_head(out, targets, grad)
+                          : softmax_xent_head(out, targets, grad);
 
-  if (cfg_.output == OutputKind::kRegression) {
-    assert(targets.rows() == b && targets.cols() == n);
-    const double inv = 1.0 / static_cast<double>(b * n);
-    for (std::size_t i = 0; i < b; ++i) {
-      for (std::size_t j = 0; j < n; ++j) {
-        const float d = out.at(i, j) - targets.at(i, j);
-        loss += static_cast<double>(d) * d * inv;
-        dout.at(i, j) = static_cast<float>(2.0 * inv) * d;
-      }
-    }
-  } else {
-    assert(targets.rows() == b && targets.cols() == 1);
-    const double invb = 1.0 / static_cast<double>(b);
-    for (std::size_t i = 0; i < b; ++i) {
-      // Numerically stable softmax.
-      float mx = out.at(i, 0);
-      for (std::size_t j = 1; j < n; ++j) mx = std::max(mx, out.at(i, j));
-      double z = 0.0;
-      for (std::size_t j = 0; j < n; ++j) {
-        z += std::exp(static_cast<double>(out.at(i, j) - mx));
-      }
-      const auto label = static_cast<std::size_t>(targets.at(i, 0));
-      assert(label < n);
-      for (std::size_t j = 0; j < n; ++j) {
-        const double p =
-            std::exp(static_cast<double>(out.at(i, j) - mx)) / z;
-        dout.at(i, j) =
-            static_cast<float>((p - (j == label ? 1.0 : 0.0)) * invb);
-        if (j == label) loss -= std::log(std::max(p, 1e-12)) * invb;
-      }
-    }
-  }
-
-  // Backprop through the stack.
-  Tensor grad = dout;
+  // Backprop through the stack: db += colsum(grad), dW += grad^T a_in,
+  // da_in = grad W.
+  const std::size_t b = out.rows();
+  const std::vector<float> ones(b, 1.0f);
   for (std::size_t li = layers_.size(); li-- > 0;) {
     const auto& lv = layers_[li];
     const Tensor& act_in = li == 0 ? input_ : post_act_[li - 1];
-    Tensor dx(act_in.rows(), lv.in);
-    linear_backward(act_in,
-                    std::span<const float>(params_).subspan(lv.w_off,
-                                                            lv.in * lv.out),
-                    grad,
-                    std::span<float>(grads_).subspan(lv.w_off, lv.in * lv.out),
-                    std::span<float>(grads_).subspan(lv.b_off, lv.out), dx);
-    if (li > 0) {
-      // dtanh(z) = 1 - tanh(z)^2, and post_act_ caches tanh(z).
-      const Tensor& a = post_act_[li - 1];
-      for (std::size_t i = 0; i < dx.rows(); ++i) {
-        for (std::size_t k = 0; k < dx.cols(); ++k) {
-          const float t = a.at(i, k);
-          dx.at(i, k) *= 1.0f - t * t;
-        }
-      }
+    gemm(Op::kN, Op::kN, 1, lv.out, b, ones.data(), grad.data(),
+         grads_.data() + lv.b_off);
+    gemm(Op::kT, Op::kN, lv.out, lv.in, b, grad.data(), act_in.data(),
+         grads_.data() + lv.w_off);
+    if (li == 0) break;
+    Tensor dx(b, lv.in);
+    gemm(Op::kN, Op::kN, b, lv.in, lv.out, grad.data(),
+         params_.data() + lv.w_off, dx.data());
+    // dtanh(z) = 1 - tanh(z)^2, and post_act_ caches tanh(z).
+    for (std::size_t i = 0; i < dx.size(); ++i) {
+      const float t = act_in.flat()[i];
+      dx.flat()[i] *= 1.0f - t * t;
     }
     grad = std::move(dx);
   }
@@ -123,19 +89,8 @@ float Mlp::backward(const Tensor& targets) {
 }
 
 float Mlp::accuracy(const Tensor& targets) const {
-  const Tensor& out = post_act_.back();
-  if (cfg_.output != OutputKind::kClassification || out.rows() == 0) {
-    return 0.0f;
-  }
-  std::size_t correct = 0;
-  for (std::size_t i = 0; i < out.rows(); ++i) {
-    std::size_t argmax = 0;
-    for (std::size_t j = 1; j < out.cols(); ++j) {
-      if (out.at(i, j) > out.at(i, argmax)) argmax = j;
-    }
-    if (argmax == static_cast<std::size_t>(targets.at(i, 0))) ++correct;
-  }
-  return static_cast<float>(correct) / static_cast<float>(out.rows());
+  if (cfg_.output != OutputKind::kClassification) return 0.0f;
+  return argmax_accuracy(post_act_.back(), targets);
 }
 
 void Mlp::load_params(std::span<const float> p) {

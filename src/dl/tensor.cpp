@@ -1,5 +1,6 @@
 #include "dl/tensor.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 namespace teco::dl {
@@ -13,49 +14,36 @@ Tensor Tensor::randn(std::size_t rows, std::size_t cols, sim::Rng& rng,
   return t;
 }
 
-void linear_forward(const Tensor& x, std::span<const float> w,
-                    std::span<const float> bias, Tensor& out) {
-  const std::size_t b = x.rows(), m = x.cols(), n = bias.size();
-  assert(w.size() == n * m);
-  assert(out.rows() == b && out.cols() == n);
-  for (std::size_t i = 0; i < b; ++i) {
-    const float* xr = x.data() + i * m;
-    for (std::size_t j = 0; j < n; ++j) {
-      float acc = bias[j];
-      const float* wr = w.data() + j * m;
-      for (std::size_t k = 0; k < m; ++k) acc += xr[k] * wr[k];
-      out.at(i, j) = acc;
-    }
+void fill_rows(Tensor& t, std::span<const float> row) {
+  assert(row.size() == t.cols());
+  for (std::size_t r = 0; r < t.rows(); ++r) {
+    std::copy(row.begin(), row.end(), t.data() + r * t.cols());
   }
 }
 
-void linear_backward(const Tensor& x, std::span<const float> w,
-                     const Tensor& dout, std::span<float> dw,
-                     std::span<float> dbias, Tensor& dx) {
-  const std::size_t b = x.rows(), m = x.cols(), n = dbias.size();
-  assert(dout.rows() == b && dout.cols() == n);
-  assert(w.size() == n * m && dw.size() == n * m);
-  assert(dx.rows() == b && dx.cols() == m);
-  for (std::size_t j = 0; j < n; ++j) {
-    float db = 0.0f;
-    for (std::size_t i = 0; i < b; ++i) db += dout.at(i, j);
-    dbias[j] += db;
-  }
-  for (std::size_t j = 0; j < n; ++j) {
-    float* dwr = dw.data() + j * m;
-    for (std::size_t i = 0; i < b; ++i) {
-      const float g = dout.at(i, j);
-      const float* xr = x.data() + i * m;
-      for (std::size_t k = 0; k < m; ++k) dwr[k] += g * xr[k];
+void gemm(Op op_a, Op op_b, std::size_t m, std::size_t n, std::size_t k,
+          const float* a, const float* b, float* c) {
+  // Loop order i-k-j: the inner loop is an axpy over one row of C, so every
+  // element still sums in ascending k, yet the loop vectorizes without
+  // reassociation. A transposed B is first gathered into [k,n] for that
+  // (a no-op layout change when n or k is 1).
+  thread_local std::vector<float> bt;
+  if (op_b == Op::kT && n > 1 && k > 1) {
+    bt.resize(k * n);
+    for (std::size_t p = 0; p < k; ++p) {
+      for (std::size_t j = 0; j < n; ++j) bt[p * n + j] = b[j * k + p];
     }
+    b = bt.data();
   }
-  for (std::size_t i = 0; i < b; ++i) {
-    float* dxr = dx.data() + i * m;
-    for (std::size_t k = 0; k < m; ++k) dxr[k] = 0.0f;
-    for (std::size_t j = 0; j < n; ++j) {
-      const float g = dout.at(i, j);
-      const float* wr = w.data() + j * m;
-      for (std::size_t k = 0; k < m; ++k) dxr[k] += g * wr[k];
+  const std::size_t a_row = op_a == Op::kN ? k : 1;
+  const std::size_t a_col = op_a == Op::kN ? 1 : m;
+  for (std::size_t i = 0; i < m; ++i) {
+    float* ci = c + i * n;
+    for (std::size_t p = 0; p < k; ++p) {
+      const float av = a[i * a_row + p * a_col];
+      if (av == 0.0f) continue;
+      const float* bp = b + p * n;
+      for (std::size_t j = 0; j < n; ++j) ci[j] += av * bp[j];
     }
   }
 }

@@ -2,7 +2,7 @@
 //
 // TECO's numeric experiments (Fig. 2, Fig. 10, Fig. 13, Table V) need real
 // parameter/gradient value dynamics, not a full framework; this tensor is a
-// contiguous row-major buffer with the handful of ops the MLP needs. The
+// contiguous row-major buffer plus the one dense kernel the models share. The
 // contiguous layout is deliberate: byte-change statistics and DBA splicing
 // walk the raw bytes exactly as the CXL modules would walk cache lines.
 #pragma once
@@ -43,15 +43,29 @@ class Tensor {
   std::vector<float> data_;
 };
 
-/// out[B,N] = x[B,M] * w^T + bias[N], where w is row-major [N,M] in a flat
-/// span (the MLP keeps all weights in one contiguous parameter buffer).
-void linear_forward(const Tensor& x, std::span<const float> w,
-                    std::span<const float> bias, Tensor& out);
+/// Row i of `t` = `row`, for every row (the bias preload of a linear layer).
+void fill_rows(Tensor& t, std::span<const float> row);
 
-/// Gradients of the linear layer given dL/dout.
-/// dw[N,M] += dout^T * x ; dbias[N] += colsum(dout) ; dx[B,M] = dout * w.
-void linear_backward(const Tensor& x, std::span<const float> w,
-                     const Tensor& dout, std::span<float> dw,
-                     std::span<float> dbias, Tensor& dx);
+/// Operand form for gemm: as stored, or transposed.
+enum class Op { kN, kT };
+
+/// C[m,n] += op(A)[m,k] * op(B)[k,n] on contiguous row-major buffers. A is
+/// stored [m,k] (kN) or [k,m] (kT); B is stored [k,n] (kN) or [n,k] (kT).
+/// The one dense kernel of teco::dl: every model's matmuls, column sums
+/// (ones^T X) and row dots go through it.
+///
+/// Summation order is part of the contract. Each C element starts from its
+/// current value and takes its k terms one at a time in ascending k order,
+/// so callers zero C or preload it (bias, residual) and apply scalar factors
+/// before (to a copy of A) or after (to C). This reproduces a plain
+/// triple loop bit for bit: DBA splicing and the Fig. 2 byte statistics read
+/// raw parameter and gradient bytes, so no float may move.
+///
+/// Terms whose A element is zero are skipped, which makes sparse A (GCNII's
+/// adjacency, masked loss rows) cheap. With finite B that changes no bit
+/// unless C starts at -0: adding a +-0 term to any other value is the
+/// identity, and a sum that does not start at -0 never becomes -0.
+void gemm(Op op_a, Op op_b, std::size_t m, std::size_t n, std::size_t k,
+          const float* a, const float* b, float* c);
 
 }  // namespace teco::dl

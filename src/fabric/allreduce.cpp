@@ -1,6 +1,5 @@
 #include "fabric/allreduce.hpp"
 
-#include <functional>
 #include <stdexcept>
 #include <utility>
 
@@ -234,25 +233,31 @@ void PoolAllReduce::pump_streams(sim::Time start,
                                  const std::vector<std::uint32_t>& nodes,
                                  StreamOp op, std::uint8_t tag) {
   const std::uint64_t lines = cfg_.shard_bytes / mem::kLineBytes;
-  auto pump =
-      std::make_shared<std::function<void(std::uint32_t, std::uint64_t)>>();
-  *pump = [this, op, lines, pump, tag](std::uint32_t n, std::uint64_t line) {
-    shard_.assert_held();
-    const sim::Time now = eq_.now();
-    const auto d = (this->*op)(n, line, now);
-    if (line + 1 >= lines) return;
-    // Self-pacing: the next line is ready when the link admits this one,
-    // which interleaves the N streams at the shared port naturally.
-    sim::Time next = now;
-    if (d.has_value() && d->accepted > next) next = d->accepted;
-    sim::TagScope ts(eq_, tag);
-    eq_.schedule_at(next, [pump, n, line] { (*pump)(n, line + 1); });
-  };
   sim::TagScope ts(eq_, tag);
   for (const std::uint32_t n : nodes) {
-    eq_.schedule_at(start, [pump, n] { (*pump)(n, 0); });
+    eq_.schedule_at(start, [this, op, lines, tag, n] {
+      shard_.assert_held();
+      pump_line(op, lines, tag, n, 0);
+    });
   }
   eq_.run();
+}
+
+void PoolAllReduce::pump_line(StreamOp op, std::uint64_t lines,
+                              std::uint8_t tag, std::uint32_t n,
+                              std::uint64_t line) {
+  const sim::Time now = eq_.now();
+  const auto d = (this->*op)(n, line, now);
+  if (line + 1 >= lines) return;
+  // Self-pacing: the next line is ready when the link admits this one,
+  // which interleaves the N streams at the shared port naturally.
+  sim::Time next = now;
+  if (d.has_value() && d->accepted > next) next = d->accepted;
+  sim::TagScope ts(eq_, tag);
+  eq_.schedule_at(next, [this, op, lines, tag, n, line] {
+    shard_.assert_held();
+    pump_line(op, lines, tag, n, line + 1);
+  });
 }
 
 std::optional<cxl::Delivery> PoolAllReduce::op_push(std::uint32_t node,

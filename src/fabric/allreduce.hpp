@@ -179,6 +179,10 @@ class PoolAllReduce {
   /// category every stream event of this phase is stamped with.
   void pump_streams(sim::Time start, const std::vector<std::uint32_t>& nodes,
                     StreamOp op, std::uint8_t tag) TECO_REQUIRES(shard_);
+  /// One step of a stream: run `op(n, line)`, then schedule line + 1 of
+  /// `lines` once the link admits this one.
+  void pump_line(StreamOp op, std::uint64_t lines, std::uint8_t tag,
+                 std::uint32_t n, std::uint64_t line) TECO_REQUIRES(shard_);
 
   std::optional<cxl::Delivery> op_push(std::uint32_t node, std::uint64_t line,
                                        sim::Time now) TECO_REQUIRES(shard_);

@@ -1,9 +1,10 @@
 // teco::obs — the unified telemetry spine (metrics registry).
 //
 // Every layer of the simulator used to keep its own ad-hoc totals
-// (sim::CounterSet here, hand-rolled uint64 fields there); the registry
-// replaces them with one hierarchy of dot-named instruments so benches,
-// step snapshots, and the BENCH_*.json pipeline all read the same numbers.
+// (string-keyed counter sets here, hand-rolled uint64 fields there); the
+// registry replaces them with one hierarchy of dot-named instruments so
+// benches, step snapshots, and the BENCH_*.json pipeline all read the same
+// numbers.
 //
 // Recording is handle-based: resolve once, record forever —
 //

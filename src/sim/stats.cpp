@@ -87,30 +87,4 @@ double Histogram::quantile(double q) const {
   return hi_;
 }
 
-void CounterSet::add(const std::string& name, std::uint64_t delta) {
-  for (auto& [k, v] : counters_) {
-    if (k == name) {
-      v += delta;
-      return;
-    }
-  }
-  counters_.emplace_back(name, delta);
-}
-
-std::uint64_t CounterSet::get(const std::string& name) const {
-  for (const auto& [k, v] : counters_) {
-    if (k == name) return v;
-  }
-  return 0;
-}
-
-std::vector<std::pair<std::string, std::uint64_t>> CounterSet::sorted() const {
-  auto out = counters_;
-  std::sort(out.begin(), out.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  return out;
-}
-
-void CounterSet::reset() { counters_.clear(); }
-
 }  // namespace teco::sim

@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <string>
 #include <vector>
 
 namespace teco::sim {
@@ -59,18 +58,6 @@ class Histogram {
   double lo_, hi_, width_;
   std::vector<std::size_t> counts_;
   std::size_t underflow_ = 0, overflow_ = 0, total_ = 0;
-};
-
-/// Named monotonically increasing counters (bytes moved, messages sent, ...).
-class CounterSet {
- public:
-  void add(const std::string& name, std::uint64_t delta = 1);
-  std::uint64_t get(const std::string& name) const;
-  std::vector<std::pair<std::string, std::uint64_t>> sorted() const;
-  void reset();
-
- private:
-  std::vector<std::pair<std::string, std::uint64_t>> counters_;
 };
 
 }  // namespace teco::sim

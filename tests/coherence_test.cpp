@@ -11,6 +11,7 @@
 #include "cxl/link.hpp"
 #include "mem/backing_store.hpp"
 #include "mem/cache.hpp"
+#include "message_counter.hpp"
 #include "obs/metrics.hpp"
 
 namespace teco::coherence {
@@ -53,6 +54,9 @@ struct Harness {
     copts.cpu_mem = &cpu_mem;
     copts.device_mem = &device_mem;
     checker = std::make_unique<check::ProtocolChecker>(*agent, copts);
+    mux.add(checker.get());
+    mux.add(&msgs);
+    agent->set_observer(&mux);
   }
 
   cxl::Link link;
@@ -62,6 +66,8 @@ struct Harness {
   sim::Trace trace;
   std::unique_ptr<HomeAgent> agent;
   std::unique_ptr<check::ProtocolChecker> checker;  ///< After agent.
+  test::MessageCounter msgs;  ///< Link messages by type.
+  check::ObserverMux mux;     ///< checker + msgs, attached to the agent.
 };
 
 TEST(MesiTransitions, UpdateExtensionOnlyAddsMToS) {
@@ -146,8 +152,8 @@ TEST(HomeAgentUpdate, Fig5ParameterUpdateFlow) {
   EXPECT_EQ(static_cast<MesiState>(meta->state), MesiState::kShared);
   EXPECT_FALSE(meta->dirty);
   // Exactly one FlushData crossed the link; no invalidations.
-  EXPECT_EQ(h.link.message_counts().get("FlushData"), 1u);
-  EXPECT_EQ(h.link.message_counts().get("Invalidate"), 0u);
+  EXPECT_EQ(h.msgs.count(cxl::MessageType::kFlushData), 1u);
+  EXPECT_EQ(h.msgs.count(cxl::MessageType::kInvalidate), 0u);
   EXPECT_EQ(h.agent->stats().update_pushes, 1u);
   // The trace captured the Fig. 5 sequence.
   EXPECT_EQ(h.trace.filter_event(
@@ -209,7 +215,7 @@ TEST(HomeAgentUpdate, UnmappedLinesBypassProtocol) {
   Harness h(Protocol::kUpdate);
   EXPECT_FALSE(h.agent->cpu_write_line(0.0, 0xDEAD000).has_value());
   EXPECT_FALSE(h.agent->device_write_line(0.0, 0xDEAD000).has_value());
-  EXPECT_EQ(h.link.message_counts().get("FlushData"), 0u);
+  EXPECT_EQ(h.msgs.count(cxl::MessageType::kFlushData), 0u);
 }
 
 TEST(HomeAgentUpdate, DbaTrimsParameterPushesOnly) {
@@ -223,7 +229,7 @@ TEST(HomeAgentUpdate, DbaTrimsParameterPushesOnly) {
   // Down carried the DbaConfig control (16B wire) + 32 B trimmed payload.
   EXPECT_EQ(down.payload_bytes, 32u);
   EXPECT_EQ(up.payload_bytes, 64u);
-  EXPECT_EQ(h.link.message_counts().get("DbaConfig"), 1u);
+  EXPECT_EQ(h.msgs.count(cxl::MessageType::kDbaConfig), 1u);
 }
 
 TEST(HomeAgentUpdate, DbaMergePreservesHighBytesEndToEnd) {
@@ -249,8 +255,8 @@ TEST(HomeAgentInvalidation, WriteInvalidatesRemoteCopy) {
   EXPECT_FALSE(d.has_value());  // No data crossed.
   EXPECT_EQ(h.gc.state(kParamBase), MesiState::kInvalid);
   EXPECT_EQ(h.agent->stats().invalidations, 1u);
-  EXPECT_EQ(h.link.message_counts().get("Invalidate"), 1u);
-  EXPECT_EQ(h.link.message_counts().get("InvAck"), 1u);
+  EXPECT_EQ(h.msgs.count(cxl::MessageType::kInvalidate), 1u);
+  EXPECT_EQ(h.msgs.count(cxl::MessageType::kInvAck), 1u);
   const auto* meta = h.cpu_cache.peek(kParamBase);
   ASSERT_NE(meta, nullptr);
   EXPECT_EQ(static_cast<MesiState>(meta->state), MesiState::kModified);

@@ -5,6 +5,7 @@
 #include "cxl/link.hpp"
 #include "cxl/packet.hpp"
 #include "cxl/phy.hpp"
+#include "message_counter.hpp"
 
 namespace teco::cxl {
 namespace {
@@ -145,15 +146,17 @@ TEST(Link, FenceDrainsBothDirections) {
 
 TEST(Link, MessageCountsByType) {
   Link link;
+  test::MessageCounter msgs;
+  link.set_observer(&msgs);
   link.send(Direction::kCpuToDevice, 0.0,
             control_packet(MessageType::kInvalidate, 0));
   link.send_stream(Direction::kCpuToDevice, 0.0,
                    data_packet(MessageType::kFlushData, 0, 64), 10);
-  EXPECT_EQ(link.message_counts().get("Invalidate"), 1u);
-  EXPECT_EQ(link.message_counts().get("FlushData"), 10u);
+  EXPECT_EQ(msgs.count(MessageType::kInvalidate), 1u);
+  EXPECT_EQ(msgs.count(MessageType::kFlushData), 10u);
   EXPECT_EQ(link.total_wire_bytes(), 16u + 640u);
   link.reset();
-  EXPECT_EQ(link.message_counts().get("FlushData"), 0u);
+  EXPECT_EQ(link.total_wire_bytes(), 0u);
 }
 
 }  // namespace

@@ -39,15 +39,86 @@ TEST(Tensor, RandnMoments) {
 }
 
 TEST(Linear, ForwardMatchesHandComputed) {
+  // A linear layer as Mlp runs it: bias preload, then out += x W^T.
   Tensor x(1, 2);
   x.at(0, 0) = 1.0f;
   x.at(0, 1) = 2.0f;
   const std::vector<float> w = {3.0f, 4.0f, 5.0f, 6.0f};  // [2,2] rows.
   const std::vector<float> b = {0.5f, -0.5f};
   Tensor out(1, 2);
-  linear_forward(x, w, b, out);
+  fill_rows(out, b);
+  gemm(Op::kN, Op::kT, 1, 2, 2, x.data(), w.data(), out.data());
   EXPECT_FLOAT_EQ(out.at(0, 0), 1 * 3 + 2 * 4 + 0.5f);
   EXPECT_FLOAT_EQ(out.at(0, 1), 1 * 5 + 2 * 6 - 0.5f);
+}
+
+/// The contract gemm must meet bit for bit: each C element starts from its
+/// current value and adds op(A)[i,p] * op(B)[p,j] one term at a time for
+/// p = 0, 1, ..., k-1.
+void reference_gemm(Op op_a, Op op_b, std::size_t m, std::size_t n,
+                    std::size_t k, const float* a, const float* b, float* c) {
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      float acc = c[i * n + j];
+      for (std::size_t p = 0; p < k; ++p) {
+        const float av = op_a == Op::kN ? a[i * k + p] : a[p * m + i];
+        const float bv = op_b == Op::kN ? b[p * n + j] : b[j * k + p];
+        acc += av * bv;
+      }
+      c[i * n + j] = acc;
+    }
+  }
+}
+
+/// Gaussian values with about `zero_share` of them exactly zero.
+std::vector<float> random_values(std::size_t count, double zero_share,
+                                 sim::Rng& rng) {
+  std::vector<float> v(count);
+  for (auto& x : v) {
+    x = rng.next_bool(zero_share) ? 0.0f
+                                  : static_cast<float>(rng.next_gaussian());
+  }
+  return v;
+}
+
+TEST(Gemm, BitIdenticalToScalarReference) {
+  struct Shape {
+    std::size_t m, n, k;
+  };
+  std::vector<Shape> shapes = {{1, 1, 1},  {17, 33, 5}, {33, 5, 17},
+                               {5, 17, 33}, {1, 9, 4},  {9, 1, 4},
+                               {4, 9, 1},  {16, 16, 16}};
+  sim::Rng rng(77);
+  for (int r = 0; r < 24; ++r) {
+    shapes.push_back({1 + rng.next_below(20), 1 + rng.next_below(20),
+                      1 + rng.next_below(20)});
+  }
+  const Op ops[] = {Op::kN, Op::kT};
+  for (const Shape& s : shapes) {
+    for (const Op op_a : ops) {
+      for (const Op op_b : ops) {
+        for (const bool preload : {false, true}) {
+          for (const double zeros : {0.0, 0.4}) {
+            const auto a = random_values(s.m * s.k, zeros, rng);
+            const auto b = random_values(s.k * s.n, zeros, rng);
+            std::vector<float> want(s.m * s.n, 0.0f);
+            if (preload) want = random_values(s.m * s.n, 0.0, rng);
+            std::vector<float> got = want;
+            reference_gemm(op_a, op_b, s.m, s.n, s.k, a.data(), b.data(),
+                           want.data());
+            gemm(op_a, op_b, s.m, s.n, s.k, a.data(), b.data(), got.data());
+            EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                                  want.size() * sizeof(float)),
+                      0)
+                << s.m << "x" << s.n << "x" << s.k << " op_a "
+                << static_cast<int>(op_a) << " op_b "
+                << static_cast<int>(op_b) << " preload " << preload
+                << " zeros " << zeros;
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(Mlp, GradientsMatchFiniteDifferences) {

@@ -272,21 +272,6 @@ TEST(Histogram, QuantileSingleBinAndClamping) {
   EXPECT_DOUBLE_EQ(h.quantile(2.0), h.quantile(1.0));
 }
 
-TEST(CounterSet, AccumulatesAndSorts) {
-  CounterSet c;
-  c.add("b", 2);
-  c.add("a");
-  c.add("b", 3);
-  EXPECT_EQ(c.get("b"), 5u);
-  EXPECT_EQ(c.get("a"), 1u);
-  EXPECT_EQ(c.get("missing"), 0u);
-  const auto sorted = c.sorted();
-  ASSERT_EQ(sorted.size(), 2u);
-  EXPECT_EQ(sorted[0].first, "a");
-  c.reset();
-  EXPECT_EQ(c.get("b"), 0u);
-}
-
 TEST(Trace, DisabledDropsRecords) {
   Trace t(false);
   t.emit(1.0, "x", "e");
