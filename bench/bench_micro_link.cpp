@@ -50,6 +50,23 @@ void BM_ChannelSubmitStream(benchmark::State& state) {
 }
 BENCHMARK(BM_ChannelSubmitStream)->Arg(1 << 10)->Arg(1 << 20);
 
+// Admission against a full queue, the KV-paging pattern: back-to-back
+// 16-line streams on one 128-deep channel, each issued as soon as the
+// previous one was accepted, so every stream stalls on queued finishes.
+void BM_ChannelSubmitStreamWarm(benchmark::State& state) {
+  constexpr std::uint64_t kLines = 16;
+  cxl::Channel ch("bench", 15.1e9, sim::ns(400), 128);
+  const auto pkt = cxl::data_packet(cxl::MessageType::kFlushData, 0, 64);
+  double t = 0.0;
+  for (auto _ : state) {
+    const cxl::Delivery d = ch.submit_stream(t, pkt, kLines);
+    t = d.accepted;
+    benchmark::DoNotOptimize(d);
+  }
+  state.SetItemsProcessed(state.iterations() * kLines);
+}
+BENCHMARK(BM_ChannelSubmitStreamWarm);
+
 // The obs overhead acceptance pair: identical link sends with and without
 // a metrics registry attached. The delta between the two is the full cost
 // of telemetry on the hottest simulator path (flit math + seven Counter

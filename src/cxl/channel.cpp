@@ -12,27 +12,69 @@ Channel::Channel(std::string name, sim::Bandwidth bandwidth, sim::Time latency,
       capacity_(queue_capacity) {
   if (bandwidth_ <= 0.0) throw std::invalid_argument("bandwidth must be > 0");
   if (capacity_ == 0) throw std::invalid_argument("queue capacity must be > 0");
+  runs_.resize(capacity_);
 }
 
 sim::Time Channel::queue_admission(sim::Time t_ready) {
-  // Retire in-flight packets that finished before the producer shows up.
-  while (!inflight_finish_.empty() && inflight_finish_.front() <= t_ready) {
-    inflight_finish_.pop_front();
+  // Retire in-flight packets that finished before the producer shows up:
+  // whole runs first, then the finished prefix of the front run.
+  while (n_runs_ > 0 && runs_[head_].last <= t_ready) {
+    inflight_n_ -= runs_[head_].back + 1;
+    pop_front_run();
   }
-  if (inflight_finish_.size() < capacity_) return t_ready;
+  if (n_runs_ > 0) {
+    FinishRun& run = runs_[head_];
+    if (run.back > 0 && run.at(run.back) <= t_ready) {
+      // at(lo) > t_ready >= at(hi); the run's finishes are monotone in b.
+      std::uint64_t lo = 0;
+      std::uint64_t hi = run.back;
+      while (hi - lo > 1) {
+        const std::uint64_t mid = lo + (hi - lo) / 2;
+        if (run.at(mid) <= t_ready) {
+          hi = mid;
+        } else {
+          lo = mid;
+        }
+      }
+      inflight_n_ -= run.back - lo;
+      run.back = lo;
+    }
+  }
+  if (inflight_n_ < capacity_) return t_ready;
   // Queue full: the producer blocks until the oldest in-flight packet
   // leaves the wire and frees its slot.
-  const sim::Time admission = inflight_finish_.front();
-  inflight_finish_.pop_front();
+  const FinishRun& oldest = runs_[head_];
+  const sim::Time admission = oldest.at(oldest.back);
+  retire_oldest(1);
   stats_.producer_stall += admission - t_ready;
   ++stats_.stalled_packets;
   return admission;
 }
 
-void Channel::record_finish(sim::Time finish) {
-  inflight_finish_.push_back(finish);
-  stats_.last_finish = std::max(stats_.last_finish, finish);
-  stats_.last_delivery = std::max(stats_.last_delivery, finish + latency_);
+void Channel::record_run(sim::Time last, sim::Time stride,
+                         std::uint64_t back) {
+  std::size_t slot = head_ + n_runs_;
+  if (slot >= capacity_) slot -= capacity_;
+  runs_[slot] = FinishRun{last, stride, back};
+  ++n_runs_;
+  inflight_n_ += back + 1;
+  if (inflight_n_ > capacity_) retire_oldest(inflight_n_ - capacity_);
+  // `last` is the run's largest finish.
+  stats_.last_finish = std::max(stats_.last_finish, last);
+  stats_.last_delivery = std::max(stats_.last_delivery, last + latency_);
+}
+
+void Channel::retire_oldest(std::size_t k) {
+  inflight_n_ -= k;
+  while (k > 0) {
+    FinishRun& run = runs_[head_];
+    if (k <= run.back) {
+      run.back -= k;
+      return;
+    }
+    k -= run.back + 1;
+    pop_front_run();
+  }
 }
 
 void Channel::enable_retry(const RetryModel& model, std::uint64_t seed,
@@ -79,7 +121,7 @@ Delivery Channel::submit(sim::Time t_ready, const Packet& pkt) {
                              retry_penalty(pkt.wire_bytes());
   const sim::Time finish = start + duration;
   wire_free_ = finish;
-  record_finish(finish);
+  record_run(finish, 0.0, 0);
 
   ++stats_.packets;
   stats_.payload_bytes += pkt.payload_bytes;
@@ -107,8 +149,8 @@ Delivery Channel::submit_stream(sim::Time t_ready, const Packet& pkt,
   // Packets beyond the queue capacity are admitted one wire-completion at a
   // time; charge the producer the exact aggregate wait.
   sim::Time admission_last = admission_first;
-  if (count > capacity_ - inflight_finish_.size()) {
-    const std::uint64_t room = capacity_ - inflight_finish_.size();
+  const std::uint64_t room = capacity_ - inflight_n_;
+  if (count > room) {
     const std::uint64_t n_stalled = count - room;
     const double n = static_cast<double>(n_stalled);
     // Packet room+k (k in [0, n_stalled)) is admitted when completion k+1
@@ -119,14 +161,10 @@ Delivery Channel::submit_stream(sim::Time t_ready, const Packet& pkt,
     stats_.stalled_packets += n_stalled;
   }
 
-  // Keep only the finishes that can still occupy queue slots.
+  // Keep only the finishes that can still occupy queue slots, as one run.
   const std::uint64_t tail =
       std::min<std::uint64_t>(count, static_cast<std::uint64_t>(capacity_));
-  for (std::uint64_t j = 0; j < tail; ++j) {
-    const double back = static_cast<double>(tail - 1 - j);
-    record_finish(finish_last - d * back);
-    if (inflight_finish_.size() > capacity_) inflight_finish_.pop_front();
-  }
+  record_run(finish_last, d, tail - 1);
 
   stats_.packets += count;
   stats_.payload_bytes += static_cast<std::uint64_t>(pkt.payload_bytes) * count;
@@ -136,7 +174,9 @@ Delivery Channel::submit_stream(sim::Time t_ready, const Packet& pkt,
 }
 
 void Channel::reset() {
-  inflight_finish_.clear();
+  head_ = 0;
+  n_runs_ = 0;
+  inflight_n_ = 0;
   wire_free_ = 0.0;
   stats_ = ChannelStats{};
 }

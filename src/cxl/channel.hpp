@@ -9,12 +9,22 @@
 // when the wire finishes it, and when it lands (plus propagation latency).
 // This handles tens of millions of line-grain submissions without an event
 // per packet.
+//
+// The pending queue holds the wire-finish times of the in-flight packets,
+// oldest first, stored as arithmetic runs: a run `{last, stride, back}`
+// stands for the finishes `last - stride * b` for b = back ... 0. submit()
+// adds a one-packet run and submit_stream() one run for its whole tail, so a
+// stream no longer costs a queue entry per packet. Two invariants hold:
+// finishes never decrease within a run (FP multiply and subtract are
+// monotone and stride >= 0), which lets admission retire a run whole or
+// binary-search its finished prefix; and `inflight_n_ <= capacity_` once a
+// submission has been admitted.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "cxl/flit.hpp"
 #include "cxl/packet.hpp"
@@ -58,8 +68,13 @@ class Channel {
   Delivery submit(sim::Time t_ready, const Packet& pkt);
 
   /// Bulk submission of `count` identical packets (a homogeneous stream).
-  /// Equivalent to calling submit() `count` times but O(1); valid because
-  /// for a saturated FIFO the k-th completion is start + k * per_packet.
+  /// Equivalent to calling submit() `count` times, at an amortized cost of
+  /// O(log capacity) whatever `count` is; valid because for a saturated FIFO
+  /// the k-th completion is start + k * per_packet. The last
+  /// min(count, capacity) finishes stay queued as one run `finish_last -
+  /// d * b`. Timing and stall totals equal the per-packet loop only up to FP
+  /// rounding (a product where the loop accumulates a sum), which is why the
+  /// loop-equivalence test compares with a tolerance.
   Delivery submit_stream(sim::Time t_ready, const Packet& pkt,
                          std::uint64_t count);
 
@@ -92,8 +107,29 @@ class Channel {
     sim::Rng rng;
   };
 
+  /// In-flight finishes `last - stride * b` for b = back ... 0, oldest
+  /// first; nondecreasing because stride >= 0.
+  struct FinishRun {
+    sim::Time last;
+    sim::Time stride;
+    std::uint64_t back;
+    sim::Time at(std::uint64_t b) const {
+      return last - stride * static_cast<double>(b);
+    }
+  };
+
   sim::Time queue_admission(sim::Time t_ready);
-  void record_finish(sim::Time finish);
+  /// Queue the run `{last, stride, back}`, fold its newest finish into the
+  /// stats and drop the oldest finishes beyond capacity. Takes scalars, not
+  /// a FinishRun, so the run is built in registers rather than on the stack.
+  void record_run(sim::Time last, sim::Time stride, std::uint64_t back);
+  /// Drop the `k` oldest in-flight finishes.
+  void retire_oldest(std::size_t k);
+  /// Drop the oldest run from the ring.
+  void pop_front_run() {
+    if (++head_ == capacity_) head_ = 0;
+    --n_runs_;
+  }
   /// Extra wire + handshake time for retransmissions of a submission that
   /// carries `wire_bytes` of payload (0 when retry is disabled).
   sim::Time retry_penalty(std::uint64_t wire_bytes);
@@ -102,9 +138,15 @@ class Channel {
   sim::Bandwidth bandwidth_;
   sim::Time latency_;
   std::size_t capacity_;
-  /// Wire-finish times of up to `capacity_` most recent packets, oldest
-  /// first; the front is the packet whose completion frees a queue slot.
-  std::deque<sim::Time> inflight_finish_;
+  /// Wire-finish times of up to `capacity_` most recent packets as runs,
+  /// oldest first; the front run's oldest finish frees the next queue slot.
+  /// A ring of `capacity_` slots (24 bytes each), enough because every run
+  /// holds at least one finish; a fixed ring, unlike a deque, never
+  /// allocates on the per-packet path.
+  std::vector<FinishRun> runs_;
+  std::size_t head_ = 0;        ///< Slot of the oldest run.
+  std::size_t n_runs_ = 0;
+  std::size_t inflight_n_ = 0;  ///< Finishes across all runs.
   sim::Time wire_free_ = 0.0;
   ChannelStats stats_;
   std::optional<RetryState> retry_;

@@ -11,7 +11,7 @@
 //     "config": {"batch": 8, ...},       // knobs that shaped the run
 //     "headline": {"stall_reduction_pct": 76.2, ...},  // the claims
 //     "metrics": {"cxl.up.bytes": ..., ...},           // registry dump
-//     "wall_clock_s": 1.87               // host time, construction->write
+//     "wall_clock_s": 1.87               // host time, process start->write
 //   }
 //
 // Output lands in $TECO_BENCH_DIR when set, else the working directory.
@@ -19,7 +19,6 @@
 // regeneration convention).
 #pragma once
 
-#include <chrono>
 #include <string>
 #include <utility>
 #include <vector>
@@ -60,10 +59,6 @@ class BenchReport {
   std::vector<Entry> config_;
   std::vector<Entry> headline_;
   const MetricsRegistry* registry_ = nullptr;
-  // Wall time of the host process, reported as wall_seconds in the bench
-  // JSON; never feeds back into simulated time or event order.
-  // teco-lint: allow(wallclock)
-  std::chrono::steady_clock::time_point start_;
 };
 
 }  // namespace teco::obs
