@@ -177,10 +177,10 @@ int main(int argc, char** argv) {
                " bytes",
            r.sched.occupancy[i].points});
     }
-    // One trace, three sources: the Gantt lanes (process 1) with the tier
-    // occupancy counter tracks, plus the obs spans (process 2).
+    // One trace, two span buffers: the Gantt lanes (process 1) with the
+    // tier occupancy counter tracks, plus the obs spans (process 2).
     core::ChromeTraceComposer composer;
-    composer.add_gantt(g, "teco tier_activation", /*pid=*/1);
+    composer.add_spans(g, "teco tier_activation", /*pid=*/1);
     composer.add_counters(counters, /*pid=*/1);
     composer.add_spans(spans, "teco obs spans", /*pid=*/2);
     if (composer.write(json_path)) {

@@ -10,7 +10,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -77,29 +76,24 @@ int main(int argc, char** argv) {
   std::fputs(t.to_string().c_str(), stdout);
 
   // Visualize the overlap structure of the two extremes.
-  std::string trace_json = "[";
+  core::ChromeTraceComposer composer;
   int pid = 0;
   for (const auto kind : {offload::RuntimeKind::kZeroOffload,
                           offload::RuntimeKind::kTecoReduction}) {
     std::printf("\nTimeline (%s):\n",
                 std::string(offload::to_string(kind)).c_str());
     const auto g = core::step_gantt(kind, model, batch, cal);
-    std::fputs(g.render().c_str(), stdout);
-    if (!json_path.empty()) {
-      // Splice both runtimes into one trace (one viewer "process" each):
-      // strip each fragment's array brackets and concatenate.
-      auto frag = core::to_chrome_trace_json(
-          g, model.name + " / " + std::string(offload::to_string(kind)), {},
-          ++pid);
-      frag = frag.substr(1, frag.find_last_of(']') - 1);
-      if (trace_json.size() > 1) trace_json += ",";
-      trace_json += frag;
-    }
+    std::fputs(core::render_gantt(g).c_str(), stdout);
+    // Both runtimes share one trace, one viewer "process" each.
+    composer.add_spans(
+        g, model.name + " / " + std::string(offload::to_string(kind)), ++pid);
   }
   if (!json_path.empty()) {
-    trace_json += "]\n";
-    std::ofstream(json_path) << trace_json;
-    std::printf("\nChrome trace written to %s\n", json_path.c_str());
+    if (composer.write(json_path)) {
+      std::printf("\nChrome trace written to %s\n", json_path.c_str());
+    } else {
+      std::fprintf(stderr, "ERROR: cannot write %s\n", json_path.c_str());
+    }
   }
 
   const auto vol = offload::volume_report(offload::RuntimeKind::kTecoReduction,

@@ -24,9 +24,12 @@ void run_protocol(teco::coherence::Protocol proto) {
   s.optimizer_step_complete();
   s.device_read_parameters(params, 2);
 
-  for (const auto& rec : s.trace().records()) {
-    std::printf("  t=%-12.3e %-12s %s\n", rec.when, rec.event.c_str(),
-                rec.detail.c_str());
+  // Protocol events share the session's span buffer with the step and
+  // fence spans; each is an instant named "<Event>@<line> <detail>".
+  for (const auto& ev : s.spans().events()) {
+    if (ev.lane == "home_agent") {
+      std::printf("  t=%-12.3e %s\n", ev.begin, ev.name.c_str());
+    }
   }
   const auto& st = s.stats();
   std::printf("  pushes=%llu invalidations=%llu demand_fetches=%llu\n\n",

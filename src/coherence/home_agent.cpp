@@ -24,9 +24,9 @@ HomeAgent::HomeAgent(cxl::Link& link, GiantCache& giant_cache,
 void HomeAgent::trace(sim::Time now, std::string_view event, mem::Addr line,
                       std::string detail) {
   if (trace_ != nullptr) {
-    trace_->emit(now, "home_agent",
-                 std::string(event) + "@" + std::to_string(line),
-                 std::move(detail));
+    std::string name = std::string(event) + "@" + std::to_string(line);
+    if (!detail.empty()) name += " " + detail;
+    trace_->emit("home_agent", std::move(name), now, now);
   }
 }
 

@@ -34,7 +34,7 @@
 #include "dba/disaggregator.hpp"
 #include "mem/backing_store.hpp"
 #include "mem/cache.hpp"
-#include "sim/trace.hpp"
+#include "obs/span.hpp"
 
 namespace teco::coherence {
 
@@ -58,7 +58,9 @@ class HomeAgent {
     dba::DbaRegister dba{};                   ///< Initial DBA register.
     mem::BackingStore* cpu_mem = nullptr;     ///< Optional real CPU memory.
     mem::BackingStore* device_mem = nullptr;  ///< Optional giant-cache bytes.
-    sim::Trace* trace = nullptr;
+    /// Protocol events land here as instant spans on lane "home_agent",
+    /// named "<Event>@<line>[ <detail>]"; null records nothing.
+    obs::TraceBuffer* trace = nullptr;
   };
 
   /// Result of a consumer-side load.
@@ -189,7 +191,7 @@ class HomeAgent {
   Protocol protocol_;
   mem::BackingStore* cpu_mem_;
   mem::BackingStore* device_mem_;
-  sim::Trace* trace_;
+  obs::TraceBuffer* trace_;
   check::Observer* observer_ = nullptr;
   // The home agent is the unit of sharding (ROADMAP: N home-agent shards
   // partitioned by address). Its directory, DBA units and counters are

@@ -1,9 +1,11 @@
 // Textual Gantt charts of a training step's timeline.
 //
-// Renders the overlap structure the paper's figures describe — GPU
-// compute, CPU optimizer, and the two link directions — as fixed-width
-// lanes, so `bert_finetune` can *show* why TECO hides what ZeRO-Offload
-// exposes.
+// A Gantt chart is a render of obs::TraceBuffer spans: each span's name is
+// a one-character glyph, its lane a row. The builders below lay out the
+// overlap structure the paper's figures describe — GPU compute, CPU
+// optimizer, and the two link directions — so `bert_finetune` can *show*
+// why TECO hides what ZeRO-Offload exposes, and ChromeTraceComposer::
+// add_spans exports the same buffer unchanged.
 #pragma once
 
 #include <cstdint>
@@ -12,6 +14,7 @@
 #include <vector>
 
 #include "dl/model_zoo.hpp"
+#include "obs/span.hpp"
 #include "offload/activation_timeline.hpp"
 #include "offload/calibration.hpp"
 #include "offload/runtime.hpp"
@@ -19,45 +22,30 @@
 
 namespace teco::core {
 
-class GanttChart {
- public:
-  struct Span {
-    std::string lane;
-    char glyph;
-    sim::Time start, end;
-  };
+/// Add a per-tier occupancy lane from a byte step function: each segment
+/// becomes a span named by a digit 0-9, the occupancy as a fraction of
+/// `capacity` (a poor man's area chart; the trace exporter emits the raw
+/// counters).
+void add_occupancy(obs::TraceBuffer& buf, const std::string& lane,
+                   const std::vector<std::pair<sim::Time, std::uint64_t>>&
+                       points,
+                   std::uint64_t capacity, sim::Time t_end);
 
-  void add(std::string lane, char glyph, sim::Time start, sim::Time end);
+/// Render every lane of `buf` (in order of first appearance) over
+/// [0, latest span end] scaled to `width` columns, drawing each span with
+/// the first character of its name.
+std::string render_gantt(const obs::TraceBuffer& buf, std::size_t width = 72);
 
-  /// Add a per-tier occupancy lane from a byte step function: each segment
-  /// renders as a digit 0-9, the occupancy as a fraction of `capacity` (a
-  /// poor man's area chart; the trace exporter emits the raw counters).
-  void add_occupancy(const std::string& lane,
-                     const std::vector<std::pair<sim::Time, std::uint64_t>>&
-                         points,
-                     std::uint64_t capacity, sim::Time t_end);
+/// The Gantt spans of one training step under `kind`, reconstructed from
+/// the same phase schedule the timeline simulator uses.
+obs::TraceBuffer step_gantt(offload::RuntimeKind kind,
+                            const dl::ModelConfig& m, std::uint32_t batch,
+                            const offload::Calibration& cal);
 
-  /// Render all lanes over [0, max_end] scaled to `width` columns.
-  std::string render(std::size_t width = 72) const;
-
-  sim::Time span_end() const { return max_end_; }
-  const std::vector<Span>& spans() const { return spans_; }
-
- private:
-  std::vector<Span> spans_;
-  std::vector<std::string> lane_order_;
-  sim::Time max_end_ = 0.0;
-};
-
-/// Build the Gantt chart of one training step under `kind`, reconstructed
-/// from the same phase schedule the timeline simulator uses.
-GanttChart step_gantt(offload::RuntimeKind kind, const dl::ModelConfig& m,
-                      std::uint32_t batch, const offload::Calibration& cal);
-
-/// Gantt of one tiered-activation step: compute slots, fetch stalls,
+/// Gantt spans of one tiered-activation step: compute slots, fetch stalls,
 /// migration traffic per link direction, and a per-tier occupancy lane.
-GanttChart activation_gantt(const offload::ActivationStepReport& r,
-                            std::uint64_t hbm_capacity,
-                            std::uint64_t giant_cache_capacity);
+obs::TraceBuffer activation_gantt(const offload::ActivationStepReport& r,
+                                  std::uint64_t hbm_capacity,
+                                  std::uint64_t giant_cache_capacity);
 
 }  // namespace teco::core

@@ -74,7 +74,7 @@ fabric::FabricConfig fabric_config(const SessionConfig& cfg) {
 }
 
 Session::Session(SessionConfig cfg)
-    : cfg_(cfg), trace_(cfg.enable_trace),
+    : cfg_(cfg),
       link_(std::make_unique<cxl::Link>(cfg.phy)),
       gc_(std::make_unique<coherence::GiantCache>(cfg.giant_cache_capacity)),
       cpu_cache_(std::make_unique<mem::Cache>(mem::llc_config())) {
@@ -88,7 +88,7 @@ Session::Session(SessionConfig cfg)
   opts.dba = dba::DbaRegister(false, cfg_.dirty_bytes);
   opts.cpu_mem = &cpu_mem_;
   opts.device_mem = &device_mem_;
-  opts.trace = cfg_.enable_trace ? &trace_ : nullptr;
+  opts.trace = cfg_.enable_trace ? &spans_ : nullptr;
   agent_ = std::make_unique<coherence::HomeAgent>(*link_, *gc_, *cpu_cache_,
                                                   opts);
   if (cfg_.check != check::CheckLevel::kOff) {
@@ -126,7 +126,10 @@ Session::~Session() {
   if (causal_ != nullptr && !step_attr_.segments.empty()) {
     c.add_critical_path(step_attr_, "teco.critpath", /*pid=*/3);
   }
-  c.write(cfg_.obs_trace_path);
+  if (!c.write(cfg_.obs_trace_path)) {
+    std::cerr << "[teco.obs] cannot write trace to " << cfg_.obs_trace_path
+              << "\n";
+  }
 }
 
 mc::HbReport Session::analyze_hb() const {

@@ -40,7 +40,6 @@
 #include "obs/snapshot.hpp"
 #include "obs/span.hpp"
 #include "serve/serve.hpp"
-#include "sim/trace.hpp"
 #include "tier/placement_planner.hpp"
 
 namespace teco::core {
@@ -63,6 +62,8 @@ struct SessionConfig {
   std::uint8_t dirty_bytes = 2;
   std::uint64_t giant_cache_capacity = 4ull << 30;
   cxl::PhyConfig phy{};
+  /// Record home-agent protocol events (the Fig. 5 message flow) as
+  /// instant spans in spans(), under the obs_trace_max_spans cap.
   bool enable_trace = false;
   /// Coherence invariant checking posture. Strict (throw on violation) by
   /// default: the simulated protocol is supposed to be violation-free, so
@@ -124,8 +125,9 @@ struct SessionConfig {
   // --- Telemetry (teco::obs) ---
   /// When non-empty, one JSONL line of registry deltas per training step.
   std::string obs_jsonl_path;
-  /// When non-empty, the unified Chrome/Perfetto trace (step + fence spans
-  /// and counter tracks) is written here at session teardown.
+  /// When non-empty, the unified Chrome/Perfetto trace (step + fence spans,
+  /// protocol events when enable_trace is on, and the critical path) is
+  /// written here at session teardown.
   std::string obs_trace_path;
   /// Print a per-step TextTable of registry deltas to stdout.
   bool obs_step_log = false;
@@ -244,7 +246,6 @@ class Session {
   const coherence::HomeAgentStats& stats() const { return agent_->stats(); }
   const cxl::Link& link() const { return *link_; }
   const coherence::GiantCache& giant_cache() const { return *gc_; }
-  const sim::Trace& trace() const { return trace_; }
   const SessionConfig& config() const { return cfg_; }
   /// The attached invariant checker, or nullptr when check == kOff.
   const check::ProtocolChecker* checker() const { return checker_.get(); }
@@ -259,7 +260,8 @@ class Session {
   /// register their own instruments alongside.
   obs::MetricsRegistry& metrics() { return metrics_; }
   const obs::MetricsRegistry& metrics() const { return metrics_; }
-  /// Step/fence spans on the simulated clock, for the unified trace.
+  /// Step/fence spans (plus protocol events when enable_trace is on) on the
+  /// simulated clock, for the unified trace.
   obs::TraceBuffer& spans() { return spans_; }
   const obs::TraceBuffer& spans() const { return spans_; }
   /// End-of-step snapshot fan-out; attach extra sinks before training.
@@ -294,7 +296,6 @@ class Session {
   void causal_note(obs::causal::Category cat, sim::Time from);
 
   SessionConfig cfg_;
-  sim::Trace trace_;
   std::unique_ptr<cxl::Link> link_;
   std::unique_ptr<coherence::GiantCache> gc_;
   std::unique_ptr<mem::Cache> cpu_cache_;

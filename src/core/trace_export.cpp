@@ -48,20 +48,6 @@ std::size_t ChromeTraceComposer::lane_tid(int pid, const std::string& lane) {
   return tid;
 }
 
-void ChromeTraceComposer::add_gantt(const GanttChart& g,
-                                    const std::string& process_name, int pid) {
-  name_process(pid, process_name);
-  for (const auto& s : g.spans()) {
-    const std::size_t tid = lane_tid(pid, s.lane);
-    std::ostringstream os;
-    os << R"({"name":")" << obs::json_escape(std::string(1, s.glyph))
-       << R"(","cat":")" << obs::json_escape(s.lane) << R"(","ph":"X","pid":)"
-       << pid << R"(,"tid":)" << tid << R"(,"ts":)" << us(s.start)
-       << R"(,"dur":)" << us(std::max(0.0, s.end - s.start)) << "}";
-    events_.push_back(os.str());
-  }
-}
-
 void ChromeTraceComposer::add_spans(const obs::TraceBuffer& buf,
                                     const std::string& process_name,
                                     int pid) {
@@ -151,16 +137,6 @@ bool ChromeTraceComposer::write(const std::string& path) const {
   if (!f) return false;
   f << json();
   return static_cast<bool>(f);
-}
-
-std::string to_chrome_trace_json(const GanttChart& g,
-                                 const std::string& process_name,
-                                 const std::vector<CounterSeries>& counters,
-                                 int pid) {
-  ChromeTraceComposer c;
-  c.add_gantt(g, process_name, pid);
-  c.add_counters(counters, pid);
-  return c.json();
 }
 
 }  // namespace teco::core

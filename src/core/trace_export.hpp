@@ -4,9 +4,10 @@
 // (chrome://tracing, https://ui.perfetto.dev). ChromeTraceComposer splices
 // three kinds of content into ONE file per run:
 //
-//   * GanttChart lanes      — complete ("X") duration events per lane row,
-//   * obs::TraceBuffer spans — the telemetry layer's step/fence/tier spans,
-//   * counter tracks        — "C" events rendering as area charts.
+//   * obs::TraceBuffer spans — complete ("X") duration events per lane row:
+//     Gantt lanes, step/fence/tier spans, protocol events,
+//   * counter tracks         — "C" events rendering as area charts,
+//   * a critical path        — "X" slices joined by "s"/"f" flow arrows.
 //
 // Each add_* call lands under a process row ("pid") so several charts can
 // coexist in one viewer session. Times are exported in microseconds, the
@@ -18,7 +19,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/gantt.hpp"
 #include "obs/causal.hpp"
 #include "obs/span.hpp"
 #include "sim/time.hpp"
@@ -33,13 +33,9 @@ struct CounterSeries {
 
 class ChromeTraceComposer {
  public:
-  /// Add every lane of `g` as threads of process `pid` (named
-  /// `process_name`). Repeated pids reuse the existing process row.
-  void add_gantt(const GanttChart& g, const std::string& process_name,
-                 int pid = 1);
-
-  /// Add the telemetry spans: one thread per distinct lane, events named
-  /// by SpanEvent::name.
+  /// Add the spans of `buf` as threads of process `pid` (named
+  /// `process_name`): one thread per distinct lane, events named by
+  /// SpanEvent::name. Repeated pids reuse the existing process row.
   void add_spans(const obs::TraceBuffer& buf,
                  const std::string& process_name, int pid = 2);
 
@@ -72,14 +68,5 @@ class ChromeTraceComposer {
   std::vector<int> named_pids_;
   std::uint64_t next_flow_id_ = 1;  ///< Shared id per "s"/"f" arrow pair.
 };
-
-/// One-chart convenience used by the existing examples/benches: `g` (plus
-/// optional counters) as a standalone trace. Kept as a thin wrapper over
-/// ChromeTraceComposer.
-std::string to_chrome_trace_json(const GanttChart& g,
-                                 const std::string& process_name,
-                                 const std::vector<CounterSeries>& counters =
-                                     {},
-                                 int pid = 1);
 
 }  // namespace teco::core

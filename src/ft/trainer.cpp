@@ -7,6 +7,7 @@
 #include "core/gantt.hpp"
 #include "mem/address.hpp"
 #include "obs/metrics.hpp"
+#include "obs/span.hpp"
 #include "sim/rng.hpp"
 
 namespace teco::ft {
@@ -64,7 +65,7 @@ FtTrainResult run_ft_training(const FtTrainConfig& cfg) {
     scfg.mc_bit_error_rate = cfg.faults.bit_error_rate;
   }
 
-  core::GanttChart gantt;
+  obs::TraceBuffer gantt;
   DegradedMode degraded = DegradedMode::kNone;
   std::unique_ptr<core::Session> session;
   mem::Addr pbase = 0;
@@ -192,7 +193,7 @@ FtTrainResult run_ft_training(const FtTrainConfig& cfg) {
       engine.mark_floats("adam_v", first, count);
     }
     ++res.steps_executed;
-    gantt.add("train", replaying ? 'r' : '=', t0, session->now());
+    gantt.emit("train", replaying ? "r" : "=", t0, session->now());
     furthest = std::max(furthest, step + 1);
 
     // Poisoned lines land after the step and are scrubbed from the CPU-side
@@ -217,7 +218,7 @@ FtTrainResult run_ft_training(const FtTrainConfig& cfg) {
       const auto r = engine.checkpoint(c0, step, cfg.step_compute);
       session->advance(r.exposed_time);
       last_durable_time = session->now();
-      gantt.add("pmem", 'C', c0, c0 + r.media_time);
+      gantt.emit("pmem", "C", c0, c0 + r.media_time);
       obs::MetricsRegistry& reg = session->metrics();
       reg.counter("ft.checkpoint_bytes").add(static_cast<double>(r.bytes));
       reg.counter("ft.dirty_lines").add(static_cast<double>(r.lines));
@@ -234,8 +235,8 @@ FtTrainResult run_ft_training(const FtTrainConfig& cfg) {
           cfg.allow_degraded);
       recovery.record_recovery(plan, crash_time - last_durable_time,
                                step + 1 - plan.resume_step);
-      gantt.add("fault", 'X', crash_time, crash_time + cfg.step_compute / 4);
-      gantt.add("restore", 'R', crash_time, crash_time + plan.restore_time);
+      gantt.emit("fault", "X", crash_time, crash_time + cfg.step_compute / 4);
+      gantt.emit("restore", "R", crash_time, crash_time + plan.restore_time);
 
       if (plan.from_checkpoint) {
         engine.restore_into("master", master);
@@ -272,7 +273,7 @@ FtTrainResult run_ft_training(const FtTrainConfig& cfg) {
   res.faults = injector.stats();
   res.recovery = recovery.stats();
   res.pmem = store.stats();
-  res.gantt = gantt.render();
+  res.gantt = core::render_gantt(gantt);
   res.master = std::move(master);
   res.accel = std::move(accel);
   res.adam_m = std::move(adam_m);

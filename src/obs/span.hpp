@@ -1,8 +1,11 @@
 // teco::obs — span tracing on the simulated clock.
 //
 // A Span marks a [begin, end] interval on sim::Time and lands in a
-// TraceBuffer; core::ChromeTraceComposer splices buffers, Gantt lanes and
-// counter tracks into one Chrome/Perfetto trace_event JSON per run.
+// TraceBuffer, the one record of "X happened over [t0, t1]": step and fence
+// spans, home-agent protocol events (instants, begin == end), and Gantt
+// lanes (one-character glyph names, drawn by core::render_gantt) all live
+// here. core::ChromeTraceComposer splices buffers and counter tracks into
+// one Chrome/Perfetto trace_event JSON per run.
 //
 // Spans are RAII against the *simulated* clock, which has no global "now":
 // construct with a pointer to the owner's clock variable and the span

@@ -1,6 +1,7 @@
 // Public-API tests: Session end-to-end flows and report formatting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -47,12 +48,18 @@ TEST(Version, Exported) {
   EXPECT_STREQ(teco::kVersionString, "1.0.0");
 }
 
+sim::Time latest_end(const obs::TraceBuffer& g) {
+  sim::Time t = 0.0;
+  for (const auto& s : g.events()) t = std::max(t, s.end);
+  return t;
+}
+
 TEST(Gantt, RendersLanesProportionally) {
-  GanttChart g;
-  g.add("gpu", 'F', 0.0, 0.5);
-  g.add("gpu", 'B', 0.5, 1.0);
-  g.add("link", '^', 0.25, 0.75);
-  const auto out = g.render(40);
+  obs::TraceBuffer g;
+  g.emit("gpu", "F", 0.0, 0.5);
+  g.emit("gpu", "B", 0.5, 1.0);
+  g.emit("link", "^", 0.25, 0.75);
+  const auto out = render_gantt(g, 40);
   EXPECT_NE(out.find("gpu "), std::string::npos);
   EXPECT_NE(out.find("link"), std::string::npos);
   // The F and B glyphs split the gpu lane roughly in half.
@@ -65,21 +72,21 @@ TEST(Gantt, RendersLanesProportionally) {
 }
 
 TEST(Gantt, EmptyChartRendersNothing) {
-  GanttChart g;
-  EXPECT_TRUE(g.render().empty());
+  obs::TraceBuffer g;
+  EXPECT_TRUE(render_gantt(g).empty());
 }
 
 TEST(Gantt, StepGanttCoversAllLanes) {
   const auto g = step_gantt(offload::RuntimeKind::kTecoReduction,
                             dl::bert_large_cased(), 4,
                             offload::default_calibration());
-  const auto out = g.render();
+  const auto out = render_gantt(g);
   for (const char* lane :
        {"GPU fwd", "GPU bwd", "link up", "CPU clip", "CPU adam",
         "link down"}) {
     EXPECT_NE(out.find(lane), std::string::npos) << lane;
   }
-  EXPECT_GT(g.span_end(), 0.0);
+  EXPECT_GT(latest_end(g), 0.0);
 }
 
 TEST(Gantt, TecoFinishesInsideAdamBaselineDoesNot) {
@@ -88,7 +95,7 @@ TEST(Gantt, TecoFinishesInsideAdamBaselineDoesNot) {
                                dl::t5_large(), 4, cal);
   const auto base = step_gantt(offload::RuntimeKind::kZeroOffload,
                                dl::t5_large(), 4, cal);
-  EXPECT_LT(teco.span_end(), base.span_end());
+  EXPECT_LT(latest_end(teco), latest_end(base));
 }
 
 SessionConfig update_config() {
@@ -210,7 +217,36 @@ TEST(Session, TraceCapturesProtocolEvents) {
   Session s(update_config());
   const auto params = s.allocate_parameters("w", 64);
   s.cpu_write_parameters(params, std::vector<float>{1.0f});
-  EXPECT_FALSE(s.trace().records().empty());
+  ASSERT_FALSE(s.spans().empty());
+  EXPECT_EQ(s.spans().events().front().lane, "home_agent");
+}
+
+TEST(Session, ProtocolEventsShareTheSpanCap) {
+  SessionConfig cfg = update_config();
+  cfg.obs_trace_max_spans = 2;
+  Session s(cfg);
+  const auto params = s.allocate_parameters("w", 256);
+  s.cpu_write_parameters(params, std::vector<float>{1.0f, 2.0f});
+  s.optimizer_step_complete();
+  // ReadOwn + GO_Flush fill the cap; the later FlushAll and step spans drop.
+  EXPECT_EQ(s.spans().size(), 2u);
+  EXPECT_GT(s.spans().dropped(), 0u);
+#ifndef TECO_OBS_DISABLED
+  EXPECT_EQ(s.metrics().counter("obs.trace.dropped_spans").value(),
+            static_cast<double>(s.spans().dropped()));
+#endif
+}
+
+TEST(Session, ReportsFailedTraceWrite) {
+  SessionConfig cfg;
+  cfg.obs_trace_path = testing::TempDir() + "teco_no_such_dir/trace.json";
+  testing::internal::CaptureStderr();
+  { Session s(cfg); }
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_NE(err.find("[teco.obs] cannot write trace to " +
+                     cfg.obs_trace_path),
+            std::string::npos)
+      << err;
 }
 
 TEST(Session, GiantCacheCapacityEnforced) {

@@ -210,15 +210,15 @@ TEST(SnapshotRows, SkipsAllZeroRows) {
 }
 
 TEST(ChromeTraceComposer, UnifiedTraceContainsAllThreeSources) {
-  core::GanttChart g;
-  g.add("GPU", '=', 0.0, 1e-6);
+  obs::TraceBuffer g;
+  g.emit("GPU", "=", 0.0, 1e-6);
   obs::TraceBuffer spans;
   spans.emit("step", "step 0", 0.0, 2e-6);
   std::vector<core::CounterSeries> counters = {
       {"HBM bytes", {{0.0, 100}, {1e-6, 200}}}};
 
   core::ChromeTraceComposer c;
-  c.add_gantt(g, "gantt", 1);
+  c.add_spans(g, "gantt", 1);
   c.add_counters(counters, 1);
   c.add_spans(spans, "telemetry", 2);
   const std::string json = c.json();
@@ -229,19 +229,17 @@ TEST(ChromeTraceComposer, UnifiedTraceContainsAllThreeSources) {
   EXPECT_NE(json.find(R"("name":"step 0")"), std::string::npos);
   EXPECT_NE(json.find(R"("ph":"C")"), std::string::npos);
   EXPECT_NE(json.find(R"("args":{"bytes":200})"), std::string::npos);
-  // The legacy single-chart wrapper still produces the same gantt events.
-  const std::string legacy = core::to_chrome_trace_json(g, "gantt", counters);
-  EXPECT_NE(legacy.find(R"("ph":"X")"), std::string::npos);
-  EXPECT_NE(legacy.find(R"("ph":"C")"), std::string::npos);
+  EXPECT_NE(json.find(R"("name":"=","cat":"GPU","ph":"X")"),
+            std::string::npos);
 }
 
 TEST(ChromeTraceComposer, LaneTidsAreStablePerProcess) {
-  core::GanttChart g;
-  g.add("laneA", 'a', 0.0, 1.0);
-  g.add("laneB", 'b', 0.0, 1.0);
-  g.add("laneA", 'c', 1.0, 2.0);
+  obs::TraceBuffer g;
+  g.emit("laneA", "a", 0.0, 1.0);
+  g.emit("laneB", "b", 0.0, 1.0);
+  g.emit("laneA", "c", 1.0, 2.0);
   core::ChromeTraceComposer c;
-  c.add_gantt(g, "p", 1);
+  c.add_spans(g, "p", 1);
   // 1 process_name + 2 lanes x 2 metadata + 3 X events.
   EXPECT_EQ(c.events(), 8u);
 }

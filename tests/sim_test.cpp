@@ -8,7 +8,6 @@
 #include "sim/rng.hpp"
 #include "sim/stats.hpp"
 #include "sim/time.hpp"
-#include "sim/trace.hpp"
 
 namespace teco::sim {
 namespace {
@@ -270,23 +269,6 @@ TEST(Histogram, QuantileSingleBinAndClamping) {
   // Out-of-range q clamps instead of extrapolating.
   EXPECT_DOUBLE_EQ(h.quantile(-1.0), h.quantile(0.0));
   EXPECT_DOUBLE_EQ(h.quantile(2.0), h.quantile(1.0));
-}
-
-TEST(Trace, DisabledDropsRecords) {
-  Trace t(false);
-  t.emit(1.0, "x", "e");
-  EXPECT_TRUE(t.records().empty());
-}
-
-TEST(Trace, FilterAndRender) {
-  Trace t(true);
-  t.emit(1.0, "ha", "ReadOwn", "line 0");
-  t.emit(2.0, "ha", "GO_Flush");
-  t.emit(3.0, "ha", "ReadOwn");
-  EXPECT_EQ(t.filter_event("ReadOwn").size(), 2u);
-  EXPECT_NE(t.to_string().find("GO_Flush"), std::string::npos);
-  t.clear();
-  EXPECT_TRUE(t.records().empty());
 }
 
 }  // namespace

@@ -334,14 +334,17 @@ TEST(TierGantt, ActivationGanttHasOccupancyLanes) {
   // seq 4096 overflows the 16 GiB budget, so migration lanes are present.
   const auto r = run_step(tier::Policy::kMinStall, 16 * kGiB);
   const auto g = core::activation_gantt(r, 16 * kGiB, 4 * kGiB);
-  const auto text = g.render(64);
+  const auto text = core::render_gantt(g, 64);
   EXPECT_NE(text.find("GPU fwd"), std::string::npos);
   EXPECT_NE(text.find("occ HBM"), std::string::npos);
   EXPECT_NE(text.find("mig down"), std::string::npos);
   // Occupancy lanes carry digit glyphs.
   bool digit = false;
-  for (const auto& s : g.spans()) {
-    if (s.lane == "occ HBM" && s.glyph >= '0' && s.glyph <= '9') digit = true;
+  for (const auto& s : g.events()) {
+    if (s.lane == "occ HBM" && s.name.size() == 1 && s.name[0] >= '0' &&
+        s.name[0] <= '9') {
+      digit = true;
+    }
   }
   EXPECT_TRUE(digit);
 }
@@ -351,8 +354,12 @@ TEST(TierGantt, ChromeTraceExportIsWellFormed) {
   const auto g = core::activation_gantt(r, 16 * kGiB, 4 * kGiB);
   std::vector<core::CounterSeries> counters = {
       {"HBM bytes", r.sched.occupancy[0].points}};
-  const auto json = core::to_chrome_trace_json(g, "tier step", counters);
-  // Structural spot checks (no JSON parser in the test deps).
+  core::ChromeTraceComposer c;
+  c.add_spans(g, "tier step", /*pid=*/1);
+  c.add_counters(counters, /*pid=*/1);
+  const auto json = c.json();
+  // Structural spot checks (no JSON parser in the test deps; CI's
+  // bench-smoke job json.load()s a full exported trace).
   EXPECT_EQ(json.front(), '[');
   EXPECT_NE(json.find(R"("ph":"X")"), std::string::npos);
   EXPECT_NE(json.find(R"("ph":"C")"), std::string::npos);
