@@ -127,8 +127,9 @@ int main() {
       c.cxl_queue_entries = q;
       const auto inv = offload::simulate_step(
           offload::RuntimeKind::kCxlInvalidation, dl::t5_large(), 4, c);
-      t.add_row({std::to_string(q), core::TextTable::ms(inv.total()),
-                 "+" + core::TextTable::pct(inv.total() / upd.total() - 1.0)});
+      std::string inc = "+";
+      inc += core::TextTable::pct(inv.total() / upd.total() - 1.0);
+      t.add_row({std::to_string(q), core::TextTable::ms(inv.total()), inc});
     }
     std::fputs(t.to_string().c_str(), stdout);
     std::puts("-> Even very deep queues cannot make on-demand fetching "

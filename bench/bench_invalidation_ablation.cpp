@@ -34,7 +34,9 @@ int main() {
       sum += inc;
       worst = inc > worst ? inc : worst;
       ++n;
-      row.push_back("+" + core::TextTable::pct(inc));
+      std::string cell = "+";
+      cell += core::TextTable::pct(inc);
+      row.push_back(std::move(cell));
     }
     t.add_row(std::move(row));
   }

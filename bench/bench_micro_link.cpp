@@ -17,6 +17,7 @@
 #include "dba/disaggregator.hpp"
 #include "dl/attention.hpp"
 #include "dl/fp16.hpp"
+#include "mem/backing_store.hpp"
 #include "mem/cache.hpp"
 #include "mem/hierarchy.hpp"
 #include "obs/causal.hpp"
@@ -166,6 +167,50 @@ void BM_CacheLookup(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_CacheLookup);
+
+void BM_CacheLookupAfterFlushCycles(benchmark::State& state) {
+  // The cpu_flush_all pattern: every step fills the LLC's S lines and then
+  // drops them. After 100 such rounds each touched set has seen 100
+  // insert/invalidate cycles; lookups then alternate a resident line and an
+  // absent line of the same set.
+  constexpr std::uint64_t kLines = 4096;
+  mem::Cache c(mem::llc_config());
+  for (int round = 0; round < 100; ++round) {
+    for (std::uint64_t i = 0; i < kLines; ++i) c.insert(i * 64, 1, false);
+    for (std::uint64_t i = 0; i < kLines; ++i) c.invalidate(i * 64, false);
+  }
+  for (std::uint64_t i = 0; i < kLines; ++i) c.insert(i * 64, 1, false);
+  std::uint64_t i = 0;
+  for (auto _ : state) {
+    const std::uint64_t line = i % kLines;
+    benchmark::DoNotOptimize(c.lookup(line * 64));
+    benchmark::DoNotOptimize(c.lookup((line + kLines) * 64));
+    ++i;
+  }
+  state.SetItemsProcessed(state.iterations() * 2);
+}
+BENCHMARK(BM_CacheLookupAfterFlushCycles);
+
+void BM_BackingStoreF32Span(benchmark::State& state) {
+  // One Session hook's worth of data: a 1392-float parameter buffer written
+  // into and read back out of a store, at a line-aligned base (arg 0) and
+  // 4 bytes past it (arg 4).
+  const mem::Addr base = 0x1000'0000 + static_cast<mem::Addr>(state.range(0));
+  std::vector<float> values(1392);
+  for (std::size_t k = 0; k < values.size(); ++k) {
+    values[k] = static_cast<float>(k) * 0.25f;
+  }
+  std::vector<float> out(values.size());
+  mem::BackingStore store;
+  for (auto _ : state) {
+    store.write_f32s(base, values);
+    store.read_f32s(base, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() * values.size() * 4 * 2);
+}
+BENCHMARK(BM_BackingStoreF32Span)->Arg(0)->Arg(4);
 
 void BM_EventQueueSchedule(benchmark::State& state) {
   for (auto _ : state) {

@@ -101,7 +101,8 @@ int main(int argc, char** argv) {
         if (naive_stall > 0.0 && pol != tier::Policy::kNaiveSwap &&
             pol != tier::Policy::kAllHbm) {
           const double red = 1.0 - r.stall_time() / naive_stall;
-          vs_naive = "-" + core::TextTable::pct(red) + " stall";
+          vs_naive += core::TextTable::pct(red);
+          vs_naive += " stall";
           if (r.hbm_oom && red >= 0.25) {
             acceptance_met = true;
             if (red > best_reduction) best_reduction = red;

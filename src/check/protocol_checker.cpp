@@ -186,8 +186,10 @@ std::uint64_t& ProtocolChecker::counter_for(ViolationKind kind) {
 
 void ProtocolChecker::report(ViolationKind kind, const std::string& message) {
   ++counter_for(kind);
-  const std::string full =
-      "[" + std::string(to_string(kind)) + "] " + message;
+  std::string full = "[";
+  full += to_string(kind);
+  full += "] ";
+  full += message;
   if (violations_.size() < 64) violations_.push_back(full);
   if (opts_.level == CheckLevel::kStrict) {
     throw ProtocolViolation(kind, full);

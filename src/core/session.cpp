@@ -250,9 +250,7 @@ void Session::device_write_gradients(mem::Addr base,
                                      std::span<const float> values) {
   // The device writes into its own (giant-cache) memory, then the protocol
   // pushes each touched line home.
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    device_mem_.write_f32(base + i * 4, values[i]);
-  }
+  device_mem_.write_f32s(base, values);
   const std::size_t lines = (values.size() * 4 + mem::kLineBytes - 1) /
                             mem::kLineBytes;
   for (std::size_t l = 0; l < lines; ++l) {
@@ -272,9 +270,7 @@ bool Session::check_activation(std::size_t step) {
 
 void Session::cpu_write_parameters(mem::Addr base,
                                    std::span<const float> values) {
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    cpu_mem_.write_f32(base + i * 4, values[i]);
-  }
+  cpu_mem_.write_f32s(base, values);
   const std::size_t lines = (values.size() * 4 + mem::kLineBytes - 1) /
                             mem::kLineBytes;
   for (std::size_t l = 0; l < lines; ++l) {
@@ -334,9 +330,7 @@ std::vector<float> Session::device_read_parameters(mem::Addr base,
   }
   causal_note(obs::causal::Category::kDemandFetch, t0);
   std::vector<float> out(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    out[i] = device_mem_.read_f32(base + i * 4);
-  }
+  device_mem_.read_f32s(base, out);
   return out;
 }
 
@@ -382,15 +376,11 @@ sim::Time Session::scrub_device_line(mem::Addr line) {
 
 void Session::seed_device_memory(mem::Addr base,
                                  std::span<const float> values) {
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    device_mem_.write_f32(base + i * 4, values[i]);
-  }
+  device_mem_.write_f32s(base, values);
 }
 
 void Session::seed_cpu_memory(mem::Addr base, std::span<const float> values) {
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    cpu_mem_.write_f32(base + i * 4, values[i]);
-  }
+  cpu_mem_.write_f32s(base, values);
 }
 
 std::vector<float> Session::cpu_read_gradients(mem::Addr base,
@@ -404,9 +394,7 @@ std::vector<float> Session::cpu_read_gradients(mem::Addr base,
   }
   causal_note(obs::causal::Category::kDemandFetch, t0);
   std::vector<float> out(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    out[i] = cpu_mem_.read_f32(base + i * 4);
-  }
+  cpu_mem_.read_f32s(base, out);
   return out;
 }
 

@@ -60,9 +60,7 @@ void FabricNode::set_gradients(std::span<const float> values) {
     throw std::invalid_argument("FabricNode::set_gradients: shard size "
                                 "mismatch");
   }
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    device_mem_.write_f32(contribution_.base + i * 4, values[i]);
-  }
+  device_mem_.write_f32s(contribution_.base, values);
 }
 
 std::optional<cxl::Delivery> FabricNode::push_contribution(
@@ -94,15 +92,18 @@ float FabricNode::device_f32(mem::Addr addr) const {
   return device_mem_.read_f32(addr);
 }
 
-void FabricNode::device_write_f32(mem::Addr addr, float v) {
-  device_mem_.write_f32(addr, v);
+void FabricNode::device_read_f32s(mem::Addr addr, std::span<float> out) const {
+  device_mem_.read_f32s(addr, out);
+}
+
+void FabricNode::device_write_f32s(mem::Addr addr,
+                                   std::span<const float> values) {
+  device_mem_.write_f32s(addr, values);
 }
 
 std::vector<float> FabricNode::result_values() const {
   std::vector<float> out(result_.bytes / 4);
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    out[i] = device_mem_.read_f32(result_.base + i * 4);
-  }
+  device_mem_.read_f32s(result_.base, out);
   return out;
 }
 
@@ -354,14 +355,14 @@ void PoolAllReduce::run_pool_staging(AllReduceReport& r) {
   // traffic — not compute — differentiates the strategies.
   t += static_cast<double>(lines) * static_cast<double>(cfg_.nodes) *
        dba::kModeledDbaLatency;
-  const std::uint64_t floats = shard_floats();
-  for (std::uint64_t w = 0; w < floats; ++w) {
-    float sum = 0.0f;
-    for (std::uint32_t n = 0; n < cfg_.nodes; ++n) {
-      sum += red.device_f32(contributions_[n].base + w * 4);
-    }
-    red.device_write_f32(result_.base + w * 4, sum);
+  // Each word sums its nodes in ascending order from 0.0f.
+  std::vector<float> sum(shard_floats(), 0.0f);
+  std::vector<float> part(sum.size());
+  for (std::uint32_t n = 0; n < cfg_.nodes; ++n) {
+    red.device_read_f32s(contributions_[n].base, part);
+    for (std::size_t w = 0; w < sum.size(); ++w) sum[w] += part[w];
   }
+  red.device_write_f32s(result_.base, sum);
   // Result writeback up through the to_pool port, then fence.
   for (std::uint64_t line = 0; line < lines; ++line) {
     const auto d = red.push_result(t, line);
@@ -394,15 +395,14 @@ void PoolAllReduce::run_per_link(AllReduceReport& r) {
   eq_.run_until(r.broadcast_done);
   // The per-link exchange is exact — land the scalar sum in every node's
   // result window so node_result() is comparable across strategies.
-  const std::uint64_t floats = shard_floats();
-  for (std::uint64_t w = 0; w < floats; ++w) {
-    float sum = 0.0f;
-    for (std::uint32_t n = 0; n < cfg_.nodes; ++n) {
-      sum += nodes_[n]->device_f32(contributions_[n].base + w * 4);
-    }
-    for (std::uint32_t n = 0; n < cfg_.nodes; ++n) {
-      nodes_[n]->device_write_f32(result_.base + w * 4, sum);
-    }
+  std::vector<float> sum(shard_floats(), 0.0f);
+  std::vector<float> part(sum.size());
+  for (std::uint32_t n = 0; n < cfg_.nodes; ++n) {
+    nodes_[n]->device_read_f32s(contributions_[n].base, part);
+    for (std::size_t w = 0; w < sum.size(); ++w) sum[w] += part[w];
+  }
+  for (std::uint32_t n = 0; n < cfg_.nodes; ++n) {
+    nodes_[n]->device_write_f32s(result_.base, sum);
   }
 }
 

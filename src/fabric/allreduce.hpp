@@ -82,7 +82,9 @@ class FabricNode {
   }
 
   float device_f32(mem::Addr addr) const;
-  void device_write_f32(mem::Addr addr, float v);
+  /// Floats at `addr` in this node's device memory, one line per lookup.
+  void device_read_f32s(mem::Addr addr, std::span<float> out) const;
+  void device_write_f32s(mem::Addr addr, std::span<const float> values);
   /// This node's view of the reduced result (device copy of the window).
   std::vector<float> result_values() const;
 

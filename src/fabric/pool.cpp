@@ -75,10 +75,10 @@ sim::Time ReduceUnit::fold(sim::Time now, std::uint32_t node,
     throw std::out_of_range("ReduceUnit::fold: node or line out of range");
   }
   const mem::Addr src = contributions_[node].base + line * mem::kLineBytes;
+  float words[mem::kWordsPerLine] = {};
+  pool_.store().read_f32s(src, words);
   float* acc = &acc_[line * mem::kWordsPerLine];
-  for (std::uint64_t w = 0; w < mem::kWordsPerLine; ++w) {
-    acc[w] += pool_.store().read_f32(src + w * 4);
-  }
+  for (std::uint64_t w = 0; w < mem::kWordsPerLine; ++w) acc[w] += words[w];
   ++counts_[line * contributions_.size() + node];
   fold_order_[line].push_back(node);
   ++folds_;
@@ -125,8 +125,10 @@ std::optional<std::string> ReduceUnit::check_invariants() const {
     float expect[mem::kWordsPerLine] = {};
     for (const std::uint32_t n : fold_order_[line]) {
       const mem::Addr src = contributions_[n].base + line * mem::kLineBytes;
+      float words[mem::kWordsPerLine] = {};
+      pool_.store().read_f32s(src, words);
       for (std::uint64_t w = 0; w < mem::kWordsPerLine; ++w) {
-        expect[w] += pool_.store().read_f32(src + w * 4);
+        expect[w] += words[w];
       }
     }
     if (std::memcmp(expect, &acc_[line * mem::kWordsPerLine],

@@ -3,7 +3,9 @@
 // Holds the actual contents of CPU memory and the accelerator giant cache in
 // the data-carrying paths (DBA merge correctness, coherence data movement
 // tests). Pages are allocated lazily at cache-line granularity; untouched
-// lines read as zero, mirroring zero-initialized simulated DRAM.
+// lines read as zero, mirroring zero-initialized simulated DRAM. Every
+// accessor costs one hash lookup per line it touches, never one per byte or
+// per float, so callers move whole buffers with one span call.
 #pragma once
 
 #include <algorithm>
@@ -36,36 +38,60 @@ class BackingStore {
     lines_[line_index(addr)] = data;
   }
 
-  /// Byte-granular accessors that may straddle lines.
+  /// Byte-granular accessors that may straddle lines. Both work one line at
+  /// a time: the span is split at line boundaries and each piece costs one
+  /// map lookup plus a memcpy (a memset when `read` meets a line that was
+  /// never written, which reads as zero). `write` creates every line the
+  /// span touches, even partially, exactly as a byte-at-a-time loop would,
+  /// so resident_lines() counts lines touched; a zero-length span touches
+  /// none. tests/mem_test.cpp checks both against that byte loop.
   void write(Addr addr, std::span<const std::uint8_t> bytes) {
     shard_.assert_held();
-    for (std::size_t i = 0; i < bytes.size(); ++i) {
-      Line& line = lines_[line_index(addr + i)];
-      line[(addr + i) % kLineBytes] = bytes[i];
+    for (std::size_t done = 0; done < bytes.size();) {
+      const Addr a = addr + done;
+      const std::size_t off = a % kLineBytes;
+      const std::size_t n =
+          std::min<std::size_t>(kLineBytes - off, bytes.size() - done);
+      std::memcpy(lines_[line_index(a)].data() + off, bytes.data() + done, n);
+      done += n;
     }
   }
 
   void read(Addr addr, std::span<std::uint8_t> out) const {
     shard_.assert_held();
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      const auto it = lines_.find(line_index(addr + i));
-      out[i] = it == lines_.end() ? 0 : it->second[(addr + i) % kLineBytes];
+    for (std::size_t done = 0; done < out.size();) {
+      const Addr a = addr + done;
+      const std::size_t off = a % kLineBytes;
+      const std::size_t n =
+          std::min<std::size_t>(kLineBytes - off, out.size() - done);
+      const auto it = lines_.find(line_index(a));
+      if (it == lines_.end()) {
+        std::memset(out.data() + done, 0, n);
+      } else {
+        std::memcpy(out.data() + done, it->second.data() + off, n);
+      }
+      done += n;
     }
   }
 
+  /// Float-array forms of write/read: `values` lands at `addr` in host byte
+  /// order, float i at `addr + 4 * i`, the layout write_f32 gives.
+  void write_f32s(Addr addr, std::span<const float> values) {
+    write(addr, {reinterpret_cast<const std::uint8_t*>(values.data()),
+                 values.size_bytes()});
+  }
+
+  void read_f32s(Addr addr, std::span<float> out) const {
+    read(addr, {reinterpret_cast<std::uint8_t*>(out.data()), out.size_bytes()});
+  }
+
   float read_f32(Addr addr) const {
-    std::uint8_t buf[4];
-    read(addr, buf);
-    float f;
-    std::memcpy(&f, buf, 4);
+    float f = 0.0f;
+    read_f32s(addr, {&f, 1});
     return f;
   }
 
-  void write_f32(Addr addr, float f) {
-    std::uint8_t buf[4];
-    std::memcpy(buf, &f, 4);
-    write(addr, buf);
-  }
+  void write_f32(Addr addr, float f) { write_f32s(addr, {&f, 1}); }
 
   std::size_t resident_lines() const {
     shard_.assert_held();

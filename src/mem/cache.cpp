@@ -57,6 +57,7 @@ CacheLineMeta& Cache::insert(Addr addr, std::uint8_t state, bool dirty) {
   shard_.assert_held();
   const Addr base = line_base(addr);
   auto& set = set_for(addr);
+  CacheLineMeta* husk = nullptr;
   for (auto& line : set) {
     if (line.valid && line.base == base) {
       line.state = state;
@@ -64,19 +65,20 @@ CacheLineMeta& Cache::insert(Addr addr, std::uint8_t state, bool dirty) {
       line.last_use = ++tick_;
       return line;
     }
+    if (!line.valid && husk == nullptr) husk = &line;
+  }
+  // Reuse an invalidated slot before growing the set or evicting anything:
+  // a husk left by invalidate() is free capacity, and "evicting" one would
+  // report a drop (with its stale state byte) for a line that is not
+  // resident at all. Reusing it first keeps a set at its real occupancy
+  // instead of collecting one husk per invalidate/insert cycle.
+  if (husk != nullptr) {
+    *husk = CacheLineMeta{base, true, dirty, state, ++tick_};
+    return *husk;
   }
   if (set.size() < cfg_.ways) {
     set.push_back(CacheLineMeta{base, true, dirty, state, ++tick_});
     return set.back();
-  }
-  // Reuse an invalidated slot before evicting anything: a husk left by
-  // invalidate() is free capacity, and "evicting" one would report a drop
-  // (with its stale state byte) for a line that is not resident at all.
-  for (auto& line : set) {
-    if (!line.valid) {
-      line = CacheLineMeta{base, true, dirty, state, ++tick_};
-      return line;
-    }
   }
   // Evict the LRU victim (every slot is valid here).
   CacheLineMeta* victim = &set.front();

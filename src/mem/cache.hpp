@@ -59,8 +59,10 @@ class Cache {
   const CacheLineMeta* peek(Addr addr) const;  ///< No LRU side effects.
 
   /// Insert (allocating) the line containing `addr` with the given state.
-  /// If the set is full the LRU victim is evicted first (writeback callback
-  /// fires if it was dirty). Returns the inserted line's metadata.
+  /// A slot freed by invalidate() is reused before the set grows, so a set
+  /// never holds more slots than its peak occupancy. Only when all `ways`
+  /// slots hold valid lines is the LRU victim evicted first (writeback
+  /// callback fires if it was dirty). Returns the inserted line's metadata.
   CacheLineMeta& insert(Addr addr, std::uint8_t state, bool dirty);
 
   /// Remove the line containing `addr` if present; fires writeback if dirty
@@ -88,7 +90,8 @@ class Cache {
   const CacheConfig& config() const { return cfg_; }
   std::uint64_t resident_lines() const;
 
-  /// Iterate over every valid line (test/debug helper).
+  /// Iterate over every valid line, set by set; within a set the order is
+  /// slot order, which depends on the insert/invalidate history.
   void for_each(const std::function<void(const CacheLineMeta&)>& fn) const;
 
  private:

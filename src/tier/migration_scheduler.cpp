@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <iterator>
+#include <string>
+#include <utility>
 
 #include "cxl/packet.hpp"
 
@@ -83,8 +85,10 @@ sim::Time MigrationScheduler::transfer(sim::Time t, std::uint32_t tensor,
   }
   res_.transfers.push_back({t, end, from, to, tensor, bytes, prefetch});
   if (trace_ != nullptr) {
+    std::string name = "t";
+    name += std::to_string(tensor);
     trace_->emit(to == Tier::kHbm ? "tier.fetch" : "tier.evict",
-                 "t" + std::to_string(tensor), t, end);
+                 std::move(name), t, end);
   }
   if (obs_ != nullptr) {
     obs_->on_tier_migration(t, tensor, static_cast<std::uint8_t>(from),

@@ -1,12 +1,21 @@
 // Unit tests for the memory substrate: addresses, caches, DRAM, stores.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <functional>
+#include <span>
+#include <string>
+#include <tuple>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "mem/address.hpp"
 #include "mem/backing_store.hpp"
 #include "mem/cache.hpp"
 #include "mem/dram.hpp"
+#include "sim/rng.hpp"
 
 namespace teco::mem {
 namespace {
@@ -148,6 +157,268 @@ TEST(Cache, InsertUpdatesExistingLine) {
   EXPECT_EQ(c.resident_lines(), 1u);
 }
 
+// Reference for the differential test below: a verbatim copy of the Cache
+// that grew a set before reusing an invalidated slot (husks piled up until
+// the set reached `ways` slots). Hits, misses, evictions, victims and
+// callbacks must not depend on that choice; only slot order inside a set
+// may.
+class GrowFirstCache {
+ public:
+  using WritebackFn = std::function<void(Addr, std::uint8_t)>;
+
+  explicit GrowFirstCache(CacheConfig cfg) : cfg_(cfg) {
+    sets_.resize(cfg_.sets());
+    for (auto& s : sets_) s.reserve(cfg_.ways);
+  }
+
+  CacheLineMeta* lookup(Addr addr) {
+    const Addr base = line_base(addr);
+    for (auto& line : set_for(addr)) {
+      if (line.valid && line.base == base) {
+        line.last_use = ++tick_;
+        ++stats_.hits;
+        return &line;
+      }
+    }
+    ++stats_.misses;
+    return nullptr;
+  }
+
+  const CacheLineMeta* peek(Addr addr) {
+    const Addr base = line_base(addr);
+    for (const auto& line : set_for(addr)) {
+      if (line.valid && line.base == base) return &line;
+    }
+    return nullptr;
+  }
+
+  CacheLineMeta& insert(Addr addr, std::uint8_t state, bool dirty) {
+    const Addr base = line_base(addr);
+    auto& set = set_for(addr);
+    for (auto& line : set) {
+      if (line.valid && line.base == base) {
+        line.state = state;
+        line.dirty = line.dirty || dirty;
+        line.last_use = ++tick_;
+        return line;
+      }
+    }
+    if (set.size() < cfg_.ways) {
+      set.push_back(CacheLineMeta{base, true, dirty, state, ++tick_});
+      return set.back();
+    }
+    for (auto& line : set) {
+      if (!line.valid) {
+        line = CacheLineMeta{base, true, dirty, state, ++tick_};
+        return line;
+      }
+    }
+    CacheLineMeta* victim = &set.front();
+    for (auto& line : set) {
+      if (line.last_use < victim->last_use) victim = &line;
+    }
+    ++stats_.evictions;
+    if (victim->dirty) {
+      ++stats_.writebacks;
+      if (writeback_) writeback_(victim->base, victim->state);
+    }
+    if (observer_ != nullptr) {
+      observer_->on_cache_drop(victim->base, victim->state, victim->dirty);
+    }
+    *victim = CacheLineMeta{base, true, dirty, state, ++tick_};
+    return *victim;
+  }
+
+  bool invalidate(Addr addr, bool writeback_on_invalidate) {
+    const Addr base = line_base(addr);
+    for (auto& line : set_for(addr)) {
+      if (line.valid && line.base == base) {
+        if (line.dirty && writeback_on_invalidate) {
+          ++stats_.writebacks;
+          if (writeback_) writeback_(line.base, line.state);
+        }
+        if (observer_ != nullptr) {
+          observer_->on_cache_drop(line.base, line.state, line.dirty);
+        }
+        line.valid = false;
+        line.dirty = false;
+        return true;
+      }
+    }
+    return false;
+  }
+
+  std::uint64_t flush_dirty() {
+    std::uint64_t n = 0;
+    for (auto& set : sets_) {
+      for (auto& line : set) {
+        if (line.valid && line.dirty) {
+          ++stats_.writebacks;
+          if (writeback_) writeback_(line.base, line.state);
+          line.dirty = false;
+          ++n;
+        }
+      }
+    }
+    return n;
+  }
+
+  void set_writeback_fn(WritebackFn fn) { writeback_ = std::move(fn); }
+  void set_observer(check::Observer* obs) { observer_ = obs; }
+  const CacheStats& stats() const { return stats_; }
+
+  std::uint64_t resident_lines() const {
+    std::uint64_t n = 0;
+    for (const auto& set : sets_) {
+      for (const auto& line : set) {
+        if (line.valid) ++n;
+      }
+    }
+    return n;
+  }
+
+  void for_each(const std::function<void(const CacheLineMeta&)>& fn) const {
+    for (const auto& set : sets_) {
+      for (const auto& line : set) {
+        if (line.valid) fn(line);
+      }
+    }
+  }
+
+ private:
+  std::vector<CacheLineMeta>& set_for(Addr addr) {
+    return sets_[(addr / cfg_.line_bytes) % sets_.size()];
+  }
+
+  CacheConfig cfg_;
+  std::vector<std::vector<CacheLineMeta>> sets_;
+  WritebackFn writeback_;
+  check::Observer* observer_ = nullptr;
+  CacheStats stats_;
+  std::uint64_t tick_ = 0;
+};
+
+using MetaKey = std::tuple<Addr, bool, bool, std::uint8_t, std::uint64_t>;
+
+MetaKey key_of(const CacheLineMeta& m) {
+  return {m.base, m.valid, m.dirty, m.state, m.last_use};
+}
+
+MetaKey key_of(const CacheLineMeta* m) {
+  return m == nullptr ? MetaKey{0, false, false, 0, 0} : key_of(*m);
+}
+
+struct DropLog final : check::Observer {
+  std::vector<std::tuple<Addr, std::uint8_t, bool>> drops;
+  void on_cache_drop(Addr line, std::uint8_t state, bool dirty) override {
+    drops.emplace_back(line, state, dirty);
+  }
+};
+
+template <typename C>
+std::vector<MetaKey> sorted_resident(const C& c) {
+  std::vector<MetaKey> out;
+  c.for_each([&](const CacheLineMeta& m) { out.push_back(key_of(m)); });
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+TEST(Cache, MatchesGrowFirstReference) {
+  struct Shape {
+    CacheConfig cfg;
+    std::uint64_t line_pool;  ///< Distinct line indices the trace draws.
+    int ops;
+  };
+  std::vector<Shape> shapes;
+  for (std::uint32_t ways = 1; ways <= 4; ++ways) {
+    for (std::uint64_t sets = 1; sets <= 4; ++sets) {
+      shapes.push_back({CacheConfig{sets * ways * kLineBytes, ways,
+                                    kLineBytes},
+                        sets * ways * 3, 4000});
+    }
+  }
+  // The LLC, with lines drawn from a few sets so they overflow 64 ways.
+  shapes.push_back({llc_config(), 0, 20000});
+
+  for (const Shape& shape : shapes) {
+    const std::uint64_t sets = shape.cfg.sets();
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      SCOPED_TRACE("ways " + std::to_string(shape.cfg.ways) + " sets " +
+                   std::to_string(sets) + " seed " + std::to_string(seed));
+      sim::Rng rng(seed);
+      Cache c(shape.cfg);
+      GrowFirstCache ref(shape.cfg);
+      std::vector<std::pair<Addr, std::uint8_t>> wb_c, wb_ref;
+      c.set_writeback_fn(
+          [&](Addr a, std::uint8_t s) { wb_c.emplace_back(a, s); });
+      ref.set_writeback_fn(
+          [&](Addr a, std::uint8_t s) { wb_ref.emplace_back(a, s); });
+      DropLog drop_c, drop_ref;
+      c.set_observer(&drop_c);
+      ref.set_observer(&drop_ref);
+
+      const auto draw_addr = [&]() -> Addr {
+        std::uint64_t line;
+        if (shape.line_pool != 0) {
+          line = rng.next_below(shape.line_pool);
+        } else {
+          line = rng.next_below(4) + sets * rng.next_below(100);
+        }
+        return line * kLineBytes + rng.next_below(kLineBytes);
+      };
+
+      for (int op = 0; op < shape.ops; ++op) {
+        wb_c.clear();
+        wb_ref.clear();
+        drop_c.drops.clear();
+        drop_ref.drops.clear();
+        const Addr a = draw_addr();
+        const std::uint64_t kind = rng.next_below(100);
+        if (kind < 25) {
+          ASSERT_EQ(key_of(c.lookup(a)), key_of(ref.lookup(a))) << "op " << op;
+        } else if (kind < 35) {
+          ASSERT_EQ(key_of(c.peek(a)), key_of(ref.peek(a))) << "op " << op;
+        } else if (kind < 70) {
+          const auto state = static_cast<std::uint8_t>(rng.next_below(4));
+          const bool dirty = rng.next_below(2) == 0;
+          ASSERT_EQ(key_of(c.insert(a, state, dirty)),
+                    key_of(ref.insert(a, state, dirty)))
+              << "op " << op;
+        } else if (kind < 97) {
+          const bool wb = rng.next_below(2) == 0;
+          ASSERT_EQ(c.invalidate(a, wb), ref.invalidate(a, wb)) << "op " << op;
+        } else {
+          ASSERT_EQ(c.flush_dirty(), ref.flush_dirty()) << "op " << op;
+          // A flush visits sets in index order, each set in slot order.
+          // Slot order is what may differ, so the set sequence must match
+          // exactly and each set's run is compared sorted.
+          const auto set_of = [&](const std::pair<Addr, std::uint8_t>& w) {
+            return w.first / kLineBytes % sets;
+          };
+          std::vector<std::uint64_t> sets_c, sets_ref;
+          for (const auto& w : wb_c) sets_c.push_back(set_of(w));
+          for (const auto& w : wb_ref) sets_ref.push_back(set_of(w));
+          ASSERT_EQ(sets_c, sets_ref) << "op " << op;
+          std::sort(wb_c.begin(), wb_c.end());
+          std::sort(wb_ref.begin(), wb_ref.end());
+        }
+        ASSERT_EQ(wb_c, wb_ref) << "op " << op;
+        ASSERT_EQ(drop_c.drops, drop_ref.drops) << "op " << op;
+        const CacheStats& sc = c.stats();
+        const CacheStats& sr = ref.stats();
+        ASSERT_EQ(std::tie(sc.hits, sc.misses, sc.evictions, sc.writebacks),
+                  std::tie(sr.hits, sr.misses, sr.evictions, sr.writebacks))
+            << "op " << op;
+        ASSERT_EQ(c.resident_lines(), ref.resident_lines()) << "op " << op;
+        if (shape.line_pool != 0 || op % 97 == 0) {
+          ASSERT_EQ(sorted_resident(c), sorted_resident(ref)) << "op " << op;
+        }
+      }
+      ASSERT_EQ(sorted_resident(c), sorted_resident(ref));
+    }
+  }
+}
+
 TEST(Dram, SequentialHitsRows) {
   Dram d;
   // 32 sequential lines land in the same row per bank stride pattern.
@@ -235,6 +506,107 @@ TEST(BackingStore, F32RoundTrip) {
   EXPECT_FLOAT_EQ(s.read_f32(8), 0.0f);
   s.clear();
   EXPECT_FLOAT_EQ(s.read_f32(4), 0.0f);
+}
+
+// Reference for the span accessors: the byte-at-a-time read/write the store
+// used before it worked one line at a time.
+class ByteStore {
+ public:
+  void write(Addr addr, std::span<const std::uint8_t> bytes) {
+    for (std::size_t i = 0; i < bytes.size(); ++i) {
+      BackingStore::Line& line = lines_[line_index(addr + i)];
+      line[(addr + i) % kLineBytes] = bytes[i];
+    }
+  }
+
+  void read(Addr addr, std::span<std::uint8_t> out) const {
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      const auto it = lines_.find(line_index(addr + i));
+      out[i] = it == lines_.end() ? 0 : it->second[(addr + i) % kLineBytes];
+    }
+  }
+
+  std::size_t resident_lines() const { return lines_.size(); }
+
+  std::vector<std::pair<Addr, BackingStore::Line>> sorted_lines() const {
+    std::vector<std::pair<Addr, BackingStore::Line>> out;
+    for (const auto& [index, line] : lines_) {
+      out.emplace_back(static_cast<Addr>(index * kLineBytes), line);
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  }
+
+ private:
+  std::unordered_map<std::uint64_t, BackingStore::Line> lines_;
+};
+
+TEST(BackingStore, SpanAccessorsMatchByteReference) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    sim::Rng rng(seed);
+    BackingStore s;
+    ByteStore ref;
+    std::vector<std::uint8_t> buf, got, want;
+    for (int op = 0; op < 3000; ++op) {
+      // Mostly a 48-line window (so spans overlap earlier writes), and some
+      // far lines, most of them never written.
+      Addr addr = rng.next_below(48 * kLineBytes);
+      if (rng.next_below(10) == 0) addr += (1 + rng.next_below(1000)) << 20;
+      const std::uint64_t len_kind = rng.next_below(10);
+      std::size_t len = len_kind == 0   ? 0
+                        : len_kind < 5 ? rng.next_below(kLineBytes + 1)
+                                       : rng.next_below(6 * kLineBytes);
+      if (op % 250 == 249) {
+        // Near the top of the address space, some spans wrapping past it.
+        len = 1 + rng.next_below(3 * kLineBytes);
+        addr = ~Addr{0} - rng.next_below(2 * len);
+      }
+      if (rng.next_below(2) == 0) {
+        buf.resize(len);
+        for (auto& b : buf) b = static_cast<std::uint8_t>(rng.next_below(256));
+        s.write(addr, buf);
+        ref.write(addr, buf);
+      } else {
+        got.assign(len, 0xAA);
+        want.assign(len, 0x55);
+        s.read(addr, got);
+        ref.read(addr, want);
+        ASSERT_EQ(got, want) << "op " << op << " addr " << addr << " len "
+                             << len;
+      }
+      ASSERT_EQ(s.resident_lines(), ref.resident_lines()) << "op " << op;
+      if (op % 50 == 0) {
+        std::vector<std::pair<Addr, BackingStore::Line>> seen;
+        s.for_each_line([&](Addr base, const BackingStore::Line& line) {
+          seen.emplace_back(base, line);
+        });
+        ASSERT_EQ(seen, ref.sorted_lines()) << "op " << op;
+      }
+    }
+  }
+}
+
+TEST(BackingStore, F32SpansUseTheF32Layout) {
+  BackingStore spans;
+  BackingStore words;
+  std::vector<float> values(37);
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    values[i] = 0.5f * static_cast<float>(i) - 3.0f;
+  }
+  spans.write_f32s(60, values);  // Unaligned start, straddles three lines.
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    words.write_f32(60 + 4 * i, values[i]);
+  }
+  std::vector<float> back(values.size() + 2);
+  spans.read_f32s(56, back);
+  EXPECT_EQ(back.front(), 0.0f);
+  EXPECT_EQ(back.back(), 0.0f);
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    EXPECT_EQ(back[i + 1], values[i]);
+    EXPECT_EQ(words.read_f32(60 + 4 * i), values[i]);
+  }
+  EXPECT_EQ(spans.resident_lines(), words.resident_lines());
 }
 
 }  // namespace

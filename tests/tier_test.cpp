@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 
 #include "check/tier_checker.hpp"
 #include "core/config.hpp"
@@ -30,15 +31,19 @@ constexpr std::uint64_t kGiB = 1ull << 30;
 tier::StepProfile hand_profile() {
   tier::TensorLifetimeProfiler p;
   for (std::uint32_t i = 0; i < 3; ++i) {
-    const auto id = p.on_produce("w" + std::to_string(i),
-                                 tier::TensorClass::kWeight, i, kGiB, 0.0);
+    std::string name = "w";
+    name += std::to_string(i);
+    const auto id = p.on_produce(std::move(name), tier::TensorClass::kWeight,
+                                 i, kGiB, 0.0);
     p.on_consume(id, 1.0 * i);
     p.on_consume(id, 3.0 + 2.0 * (2 - i));
   }
   for (std::uint32_t i = 0; i < 3; ++i) {
+    std::string name = "a";
+    name += std::to_string(i);
     const auto id =
-        p.on_produce("a" + std::to_string(i), tier::TensorClass::kActivation,
-                     i, 2 * kGiB, 1.0 * (i + 1));
+        p.on_produce(std::move(name), tier::TensorClass::kActivation, i,
+                     2 * kGiB, 1.0 * (i + 1));
     p.on_consume(id, 3.0 + 2.0 * (2 - i));
   }
   return p.finish(3.0, 6.0, 3);
