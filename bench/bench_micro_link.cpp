@@ -1,5 +1,6 @@
 // Substrate micro-benchmarks (google-benchmark): link serialization, DBA
-// pack/merge, coherence operations, LZ4 codec, cache and event-queue costs.
+// pack/merge, coherence operations, LZ4 codec, cache and event-queue costs,
+// and one whole serving run.
 // These quantify the cost of the simulation substrate itself, not the
 // modeled hardware.
 #include <benchmark/benchmark.h>
@@ -21,6 +22,8 @@
 #include "mem/cache.hpp"
 #include "mem/hierarchy.hpp"
 #include "obs/causal.hpp"
+#include "serve/arrival.hpp"
+#include "serve/scheduler.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/rng.hpp"
 
@@ -329,6 +332,43 @@ void BM_TransformerStep(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 32);
 }
 BENCHMARK(BM_TransformerStep);
+
+// The serving stack as one layer: a 400-request trace run in the shape of
+// perfbench serve_paging (Poisson at 20 rps, 768-token prompt median, 48
+// sessions, decode batch 16, 512 MiB HBM KV budget, min_stall,
+// write-through), on a fresh scheduler per iteration. Reported per request:
+// scheduler bookkeeping, KV paging decisions and the link sends they make.
+void BM_ServeTraceRun(benchmark::State& state) {
+  serve::ServeConfig shape;
+  shape.arrival = serve::ArrivalKind::kPoisson;
+  shape.rate_rps = 20.0;
+  shape.n_requests = 400;
+  shape.seed = 9;
+  shape.median_prompt_tokens = 768;
+  serve::ArrivalProcess arrivals(shape);
+  serve::ServeConfig cfg;
+  cfg.arrival = serve::ArrivalKind::kTrace;
+  while (const auto r = arrivals.next()) {
+    cfg.trace.push_back({r->arrival, r->prompt_tokens, r->decode_tokens});
+  }
+  cfg.n_requests = cfg.trace.size();
+  cfg.max_sessions = 48;
+  cfg.max_batch = 16;
+  cfg.hbm_kv_bytes = 512ull << 20;
+  cfg.policy = tier::Policy::kMinStall;
+  cfg.kv_writethrough = true;
+  for (auto _ : state) {
+    serve::ServeScheduler sched(cfg);
+    benchmark::DoNotOptimize(sched.run());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(cfg.n_requests));
+  state.counters["per_request"] = benchmark::Counter(
+      static_cast<double>(cfg.n_requests),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_ServeTraceRun)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -1,5 +1,6 @@
 #include "mem/cache.hpp"
 
+#include <bit>
 #include <cassert>
 #include <stdexcept>
 
@@ -21,19 +22,36 @@ Cache::Cache(CacheConfig cfg) : cfg_(cfg) {
   }
   sets_.resize(cfg_.sets());
   for (auto& s : sets_) s.reserve(cfg_.ways);
+  valid_.assign(sets_.size(), 0);
+  occupied_.assign((sets_.size() + 63) / 64, 0);
 }
 
-std::vector<CacheLineMeta>& Cache::set_for(Addr addr) {
-  return sets_[(addr / cfg_.line_bytes) % sets_.size()];
+void Cache::note_valid(std::size_t i, int delta) {
+  const std::uint64_t bit = std::uint64_t{1} << (i % 64);
+  if (delta > 0) {
+    if (valid_[i]++ == 0) occupied_[i / 64] |= bit;
+    ++resident_;
+  } else {
+    if (--valid_[i] == 0) occupied_[i / 64] &= ~bit;
+    --resident_;
+  }
 }
-const std::vector<CacheLineMeta>& Cache::set_for(Addr addr) const {
-  return sets_[(addr / cfg_.line_bytes) % sets_.size()];
+
+std::size_t Cache::next_occupied(std::size_t i) const {
+  for (std::size_t w = i / 64; w < occupied_.size(); ++w) {
+    std::uint64_t bits = occupied_[w];
+    if (w == i / 64) bits &= ~std::uint64_t{0} << (i % 64);
+    if (bits != 0) {
+      return w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+    }
+  }
+  return sets_.size();
 }
 
 CacheLineMeta* Cache::lookup(Addr addr) {
   shard_.assert_held();
   const Addr base = line_base(addr);
-  for (auto& line : set_for(addr)) {
+  for (auto& line : sets_[set_index(addr)]) {
     if (line.valid && line.base == base) {
       line.last_use = ++tick_;
       ++stats_.hits;
@@ -47,7 +65,7 @@ CacheLineMeta* Cache::lookup(Addr addr) {
 const CacheLineMeta* Cache::peek(Addr addr) const {
   shard_.assert_held();
   const Addr base = line_base(addr);
-  for (const auto& line : set_for(addr)) {
+  for (const auto& line : sets_[set_index(addr)]) {
     if (line.valid && line.base == base) return &line;
   }
   return nullptr;
@@ -56,7 +74,8 @@ const CacheLineMeta* Cache::peek(Addr addr) const {
 CacheLineMeta& Cache::insert(Addr addr, std::uint8_t state, bool dirty) {
   shard_.assert_held();
   const Addr base = line_base(addr);
-  auto& set = set_for(addr);
+  const std::size_t si = set_index(addr);
+  auto& set = sets_[si];
   CacheLineMeta* husk = nullptr;
   for (auto& line : set) {
     if (line.valid && line.base == base) {
@@ -73,10 +92,12 @@ CacheLineMeta& Cache::insert(Addr addr, std::uint8_t state, bool dirty) {
   // resident at all. Reusing it first keeps a set at its real occupancy
   // instead of collecting one husk per invalidate/insert cycle.
   if (husk != nullptr) {
+    note_valid(si, +1);
     *husk = CacheLineMeta{base, true, dirty, state, ++tick_};
     return *husk;
   }
   if (set.size() < cfg_.ways) {
+    note_valid(si, +1);
     set.push_back(CacheLineMeta{base, true, dirty, state, ++tick_});
     return set.back();
   }
@@ -100,7 +121,8 @@ CacheLineMeta& Cache::insert(Addr addr, std::uint8_t state, bool dirty) {
 bool Cache::invalidate(Addr addr, bool writeback_on_invalidate) {
   shard_.assert_held();
   const Addr base = line_base(addr);
-  for (auto& line : set_for(addr)) {
+  const std::size_t si = set_index(addr);
+  for (auto& line : sets_[si]) {
     if (line.valid && line.base == base) {
       if (line.dirty && writeback_on_invalidate) {
         ++stats_.writebacks;
@@ -111,6 +133,7 @@ bool Cache::invalidate(Addr addr, bool writeback_on_invalidate) {
       }
       line.valid = false;
       line.dirty = false;
+      note_valid(si, -1);
       return true;
     }
   }
@@ -120,8 +143,11 @@ bool Cache::invalidate(Addr addr, bool writeback_on_invalidate) {
 std::uint64_t Cache::flush_dirty() {
   shard_.assert_held();
   std::uint64_t n = 0;
-  for (auto& set : sets_) {
-    for (auto& line : set) {
+  // The bitmap is read afresh for each step, so a writeback callback that
+  // fills or empties a later set of this cache sees a full scan's walk.
+  for (std::size_t i = next_occupied(0); i < sets_.size();
+       i = next_occupied(i + 1)) {
+    for (auto& line : sets_[i]) {
       if (line.valid && line.dirty) {
         ++stats_.writebacks;
         if (writeback_) writeback_(line.base, line.state);
@@ -136,26 +162,19 @@ std::uint64_t Cache::flush_dirty() {
 void Cache::reset() {
   shard_.assert_held();
   for (auto& set : sets_) set.clear();
+  valid_.assign(valid_.size(), 0);
+  occupied_.assign(occupied_.size(), 0);
+  resident_ = 0;
   stats_ = CacheStats{};
   tick_ = 0;
-}
-
-std::uint64_t Cache::resident_lines() const {
-  shard_.assert_held();
-  std::uint64_t n = 0;
-  for (const auto& set : sets_) {
-    for (const auto& line : set) {
-      if (line.valid) ++n;
-    }
-  }
-  return n;
 }
 
 void Cache::for_each(
     const std::function<void(const CacheLineMeta&)>& fn) const {
   shard_.assert_held();
-  for (const auto& set : sets_) {
-    for (const auto& line : set) {
+  for (std::size_t i = next_occupied(0); i < sets_.size();
+       i = next_occupied(i + 1)) {
+    for (const auto& line : sets_[i]) {
       if (line.valid) fn(line);
     }
   }

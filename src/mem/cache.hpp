@@ -88,16 +88,25 @@ class Cache {
   bool contains(Addr addr) const { return peek(addr) != nullptr; }
   const CacheStats& stats() const { return stats_; }
   const CacheConfig& config() const { return cfg_; }
-  std::uint64_t resident_lines() const;
+  std::uint64_t resident_lines() const {
+    shard_.assert_held();
+    return resident_;
+  }
 
-  /// Iterate over every valid line, set by set; within a set the order is
-  /// slot order, which depends on the insert/invalidate history.
+  /// Iterate over every valid line, set by set in index order; within a
+  /// set the order is slot order, which depends on the insert/invalidate
+  /// history. Like flush_dirty(), it visits only the sets that hold a
+  /// valid line, so its cost follows occupancy, not cache size.
   void for_each(const std::function<void(const CacheLineMeta&)>& fn) const;
 
  private:
-  std::vector<CacheLineMeta>& set_for(Addr addr) TECO_REQUIRES(shard_);
-  const std::vector<CacheLineMeta>& set_for(Addr addr) const
-      TECO_REQUIRES(shard_);
+  std::size_t set_index(Addr addr) const {
+    return (addr / cfg_.line_bytes) % sets_.size();
+  }
+  /// Account one line becoming valid (+1) or invalid (-1) in set `i`.
+  void note_valid(std::size_t i, int delta) TECO_REQUIRES(shard_);
+  /// The first set at or after `i` holding a valid line, else sets().
+  std::size_t next_occupied(std::size_t i) const TECO_REQUIRES(shard_);
 
   CacheConfig cfg_;
   // Tag/LRU/stats state is per-shard: the sharded engine gives each shard
@@ -105,6 +114,10 @@ class Cache {
   // miss. See docs/STATIC_ANALYSIS.md.
   core::ShardCapability shard_;
   std::vector<std::vector<CacheLineMeta>> sets_ TECO_SHARD_AFFINE(shard_);
+  std::vector<std::uint32_t> valid_ TECO_SHARD_AFFINE(shard_);  ///< Per set.
+  /// Bit i of word i / 64: set i holds a valid line.
+  std::vector<std::uint64_t> occupied_ TECO_SHARD_AFFINE(shard_);
+  std::uint64_t resident_ TECO_SHARD_AFFINE(shard_) = 0;
   WritebackFn writeback_;
   check::Observer* observer_ = nullptr;
   CacheStats stats_ TECO_SHARD_AFFINE(shard_);

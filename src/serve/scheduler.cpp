@@ -1,6 +1,7 @@
 #include "serve/scheduler.hpp"
 
 #include <algorithm>
+#include <string>
 
 namespace teco::serve {
 
@@ -13,8 +14,11 @@ ServeScheduler::ServeScheduler(const ServeConfig& cfg,
     : cfg_(cfg),
       kvpt_(kv_bytes_per_token(cfg_.model)),
       reg_(reg != nullptr ? reg : &local_reg_),
-      kv_(cfg_, q_, link_, *reg_),
+      kv_(cfg_, q_, link_, *reg_, report_),
       arrivals_(cfg_),
+      sessions_(cfg_.max_sessions),
+      waiting_(cfg_.max_sessions),
+      running_(cfg_.max_sessions),
       // TTFT up to 60 s at 10 ms resolution, inter-token up to 2 s at
       // 0.5 ms: wide enough that overload sweeps keep honest p999s.
       ttft_hist_(reg_->histogram("serve.ttft_us", 0.0, 60e6, 6000)),
@@ -30,6 +34,9 @@ ServeScheduler::ServeScheduler(const ServeConfig& cfg,
       c_prefill_tokens_(reg_->counter("serve.prefill_tokens")),
       c_stall_us_(reg_->counter("serve.kv.stall_us")) {
   link_.set_metrics(reg_);
+  for (std::size_t s = cfg_.max_sessions; s > 0; --s) {
+    free_.push_back(static_cast<Slot>(s - 1));  // Slot 0 pops first.
+  }
 }
 
 ServeScheduler::~ServeScheduler() {
@@ -54,15 +61,15 @@ void ServeScheduler::drain_arrivals() {
   while (pending_.has_value() && pending_->arrival <= q_.now()) {
     const Request r = *pending_;
     c_arrivals_.add();
-    if (sessions_.size() >= cfg_.max_sessions) {
-      ++report_.rejected;
-      c_rejected_.add();
+    if (free_.empty()) {
+      bump(report_.rejected, c_rejected_);
     } else {
-      ++report_.admitted;
-      c_admitted_.add();
-      sessions_.emplace(r.id, Session{r, 0.0, 0.0, 0.0, 0});
-      waiting_.push_back(r.id);
-      kv_.add_session(r.id);
+      bump(report_.admitted, c_admitted_);
+      const Slot s = free_.back();
+      free_.pop_back();
+      sessions_[s] = Session{r};
+      waiting_.push_back(s);
+      kv_.add_session(s, r.id);
     }
     pending_ = arrivals_.next();
   }
@@ -70,17 +77,16 @@ void ServeScheduler::drain_arrivals() {
 
 void ServeScheduler::prefill_iteration() {
   const sim::Time t = q_.now();
-  std::vector<std::uint64_t> group;
+  // The group is the FCFS prefix of waiting_ that fits max_prefill_tokens
+  // (always at least one session).
+  std::size_t n = 0;
   std::uint64_t tokens = 0;
   std::uint64_t kv_need = 0;
-  while (!waiting_.empty()) {
-    const std::uint64_t id = waiting_.front();
-    const std::uint32_t prompt = sessions_.at(id).req.prompt_tokens;
-    if (!group.empty() && tokens + prompt > cfg_.max_prefill_tokens) break;
-    group.push_back(id);
+  for (; n < waiting_.size(); ++n) {
+    const std::uint32_t prompt = sessions_[waiting_[n]].req.prompt_tokens;
+    if (n > 0 && tokens + prompt > cfg_.max_prefill_tokens) break;
     tokens += prompt;
     kv_need += static_cast<std::uint64_t>(prompt) * kvpt_;
-    waiting_.pop_front();
   }
   const sim::Time avail = kv_.ensure_capacity(kv_need, t);
   if (avail > t) {
@@ -90,26 +96,27 @@ void ServeScheduler::prefill_iteration() {
   }
   const sim::Time end = avail + cfg_.cost.prefill_time(cfg_.model, tokens);
   causal_note(obs::causal::Category::kCompute, avail, end);
-  for (const std::uint64_t id : group) {
-    Session& s = sessions_.at(id);
+  for (std::size_t i = 0; i < n; ++i) {
+    const Slot slot = waiting_[i];
+    Session& s = sessions_[slot];
     s.prefill_end = end;
     s.last_token = end;
     s.generated = 1;  // Prefill emits the request's first token.
-    s.ttft = end - s.req.arrival;
-    ttft_hist_.observe(s.ttft * kSecToUs);
+    ttft_hist_.observe((end - s.req.arrival) * kSecToUs);
     if (causal_ != nullptr) {
-      ttft_records_.push_back({id, s.req.arrival, end, causal_last_});
+      ttft_records_.push_back({s.req.id, s.req.arrival, end, causal_last_});
     }
-    ++report_.tokens_generated;
-    c_tokens_.add();
-    kv_.append(id, static_cast<std::uint64_t>(s.req.prompt_tokens) * kvpt_,
+    bump(report_.tokens_generated, c_tokens_);
+    // Appends interleave with completions, as the HBM peak depends on it.
+    kv_.append(slot, static_cast<std::uint64_t>(s.req.prompt_tokens) * kvpt_,
                end);
     if (s.generated >= s.req.decode_tokens) {
-      complete(id, end);
+      complete(slot, end);
     } else {
-      running_.push_back(id);
+      running_.push_back(slot);
     }
   }
+  waiting_.pop_front(n);
   c_prefill_iters_.add();
   c_prefill_tokens_.add(static_cast<double>(tokens));
   if (end > report_.makespan) report_.makespan = end;
@@ -119,17 +126,14 @@ void ServeScheduler::prefill_iteration() {
 void ServeScheduler::decode_iteration() {
   const sim::Time t = q_.now();
   const std::size_t width = std::min(cfg_.max_batch, running_.size());
-  std::vector<std::uint64_t> batch(running_.begin(),
-                                   running_.begin() +
-                                       static_cast<std::ptrdiff_t>(width));
-  for (const std::uint64_t id : batch) kv_.set_pinned(id, true);
+  batch_.clear();
+  for (std::size_t i = 0; i < width; ++i) batch_.push_back(running_[i]);
+  running_.pop_front(width);
+  kv_.set_pinned(batch_, true);
   // Residency barrier: every batch member's KV must be back in HBM before
   // the kernel launches. Prefetched sessions land (partially) hidden;
   // under kNaiveSwap everything is a fully exposed demand fetch.
-  sim::Time ready = t;
-  for (const std::uint64_t id : batch) {
-    ready = std::max(ready, kv_.ensure_resident(id, t, /*demand=*/true));
-  }
+  const sim::Time ready = kv_.ensure_resident(batch_, t);
   const sim::Time avail =
       kv_.ensure_capacity(static_cast<std::uint64_t>(width) * kvpt_, t);
   const sim::Time start = std::max(ready, avail);
@@ -141,74 +145,81 @@ void ServeScheduler::decode_iteration() {
                 t, start);
   }
   // Lookahead paging, issued BEFORE this iteration's compute so the wire
-  // works while the kernel runs: the sessions at positions [width,
-  // width + horizon) are the next rotations' batches. The current batch is
-  // still pinned, so prefetch evictions can only take colder sessions; a
-  // prefetch that would overcommit the budget is skipped entirely (see
-  // KvCacheManager::ensure_resident).
+  // works while the kernel runs: the running sessions behind the batch
+  // are the next rotations' batches. The current batch is still pinned,
+  // so prefetch evictions can only take colder sessions; a prefetch that
+  // would overcommit the budget is skipped entirely (see
+  // KvCacheManager::prefetch).
   if (cfg_.policy != tier::Policy::kNaiveSwap &&
       cfg_.policy != tier::Policy::kAllHbm && cfg_.prefetch_depth > 0) {
-    const std::size_t horizon = std::min(
-        running_.size() - width, cfg_.max_batch * cfg_.prefetch_depth);
-    for (std::size_t i = 0; i < horizon; ++i) {
-      kv_.prefetch(running_[width + i], start);
-    }
+    const std::size_t horizon =
+        std::min(running_.size(), cfg_.max_batch * cfg_.prefetch_depth);
+    for (std::size_t i = 0; i < horizon; ++i) kv_.prefetch(running_[i], start);
   }
-  std::uint64_t batch_kv = 0;
-  for (const std::uint64_t id : batch) {
-    batch_kv += kv_.session_bytes(id) + kvpt_;
-  }
+  const std::uint64_t batch_kv =
+      kv_.bytes(batch_) + static_cast<std::uint64_t>(width) * kvpt_;
   const sim::Time end = start + cfg_.cost.decode_time(cfg_.model, batch_kv);
   causal_note(obs::causal::Category::kCompute, start, end);
-  for (const std::uint64_t id : batch) {
-    Session& s = sessions_.at(id);
-    kv_.append(id, kvpt_, end);
-    ++s.generated;
-    ++report_.tokens_generated;
-    c_tokens_.add();
-    tpot_hist_.observe((end - s.last_token) * kSecToUs);
-    s.last_token = end;
-  }
-  for (const std::uint64_t id : batch) kv_.set_pinned(id, false);
+  kv_.append(batch_, kvpt_, end);
+  kv_.set_pinned(batch_, false);
   // Rotate: finished sessions leave, the rest requeue at the back, so
   // batch membership cycles through all active sessions.
-  running_.erase(running_.begin(),
-                 running_.begin() + static_cast<std::ptrdiff_t>(width));
-  for (const std::uint64_t id : batch) {
-    if (sessions_.at(id).generated >= sessions_.at(id).req.decode_tokens) {
-      complete(id, end);
+  for (const Slot slot : batch_) {
+    Session& s = sessions_[slot];
+    ++s.generated;
+    bump(report_.tokens_generated, c_tokens_);
+    tpot_hist_.observe((end - s.last_token) * kSecToUs);
+    s.last_token = end;
+    if (s.generated >= s.req.decode_tokens) {
+      complete(slot, end);
     } else {
-      running_.push_back(id);
+      running_.push_back(slot);
     }
   }
   // Victim-ordering hints for the next iteration's evictions: a session's
   // next turn is its queue position in whole rotations.
   const sim::Time iter_est = end - start;
-  std::size_t pos = 0;
-  for (const std::uint64_t id : running_) {
+  for (std::size_t pos = 0; pos < running_.size(); ++pos) {
     kv_.set_next_use_hint(
-        id, static_cast<double>(pos / cfg_.max_batch) * iter_est);
-    ++pos;
+        running_[pos], static_cast<double>(pos / cfg_.max_batch) * iter_est);
   }
   c_decode_iters_.add();
   if (end > report_.makespan) report_.makespan = end;
   q_.run_until(end);
 }
 
-void ServeScheduler::complete(std::uint64_t id, sim::Time t) {
-  Session& s = sessions_.at(id);
+void ServeScheduler::complete(Slot slot, sim::Time t) {
+  const Session& s = sessions_[slot];
   const sim::Time mean_tpot =
       s.generated > 1
           ? (t - s.prefill_end) / static_cast<double>(s.generated - 1)
           : 0.0;
-  ++report_.completed;
-  c_completed_.add();
-  if (attains_slo(cfg_, s.ttft, mean_tpot)) {
-    ++report_.slo_attained;
-    c_slo_.add();
+  bump(report_.completed, c_completed_);
+  if (attains_slo(cfg_, s.prefill_end - s.req.arrival, mean_tpot)) {
+    bump(report_.slo_attained, c_slo_);
   }
-  kv_.release(id);
-  sessions_.erase(id);
+  kv_.release(slot);
+  free_.push_back(slot);
+}
+
+std::vector<std::string> ServeScheduler::check_invariants() const {
+  shard_.assert_held();
+  std::vector<std::string> out;
+  const auto expect = [&](const char* what, std::uint64_t a, std::uint64_t b) {
+    if (a != b) {
+      out.push_back(std::string(what) + ": " + std::to_string(a) +
+                    " != " + std::to_string(b));
+    }
+  };
+  const std::size_t live = waiting_.size() + running_.size();
+  expect("arrivals vs completed + live + rejected",
+         arrivals_.emitted() - (pending_.has_value() ? 1 : 0),
+         report_.completed + live + report_.rejected);
+  expect("hbm_used vs resident + in-flight KV bytes", kv_.hbm_used(),
+         kv_.charged_bytes());
+  expect("live + free slots vs max_sessions", live + free_.size(),
+         cfg_.max_sessions);
+  return out;
 }
 
 void ServeScheduler::finalize() {
@@ -219,13 +230,6 @@ void ServeScheduler::finalize() {
   report_.tpot = LatencyQuantiles{tpot_hist_.quantile(0.5) / kSecToUs,
                                   tpot_hist_.quantile(0.99) / kSecToUs,
                                   tpot_hist_.quantile(0.999) / kSecToUs};
-  const KvCacheManager::Stats& ks = kv_.stats();
-  report_.kv_pagein_bytes = ks.pagein_bytes;
-  report_.kv_evict_bytes = ks.evict_bytes;
-  report_.kv_clean_drops = ks.clean_drops;
-  report_.kv_demand_fetches = ks.demand_fetches;
-  report_.kv_prefetches = ks.prefetches;
-  report_.hbm_peak_bytes = ks.hbm_peak;
 }
 
 ServeReport ServeScheduler::run() {

@@ -18,6 +18,11 @@
 // capacity-based: arrivals beyond max_sessions concurrent sessions are
 // rejected and count against SLO attainment.
 //
+// A request is named by its slot in a pool of exactly max_sessions entries
+// (memory bounded by admission capacity, not request count) from admission
+// to completion: the waiting and running queues are fixed rings of slots and
+// KvCacheManager indexes its entries by slot, so decode does no lookups.
+//
 // All asynchronous effects — KV page-in landings, link deliveries — are
 // events on the scheduler's sim::EventQueue, and all KV movement rides the
 // scheduler's cxl::Link (metrics attached), so serve.* and cxl.*/coherence.*
@@ -26,10 +31,10 @@
 // bit-identical, registry snapshots included.
 #pragma once
 
+#include <bit>
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "core/annotations.hpp"
@@ -65,14 +70,14 @@ class ServeScheduler {
   static bool attains_slo(const ServeConfig& cfg, sim::Time ttft,
                           sim::Time mean_tpot);
 
+  /// One message per violated invariant: drained arrivals = completed +
+  /// live + rejected; hbm_used = bytes of sessions resident or being paged
+  /// in; live + free slots = max_sessions. Read-only (events may call it).
+  std::vector<std::string> check_invariants() const;
+
   obs::MetricsRegistry& registry() { return *reg_; }
   sim::EventQueue& queue() { return q_; }
   cxl::Link& link() { return link_; }
-  const KvCacheManager& kv() const { return kv_; }
-  const ServeReport& report() const {
-    shard_.assert_held();
-    return report_;
-  }
 
   /// Wire the causal DAG (must outlive the scheduler; nullptr = off): the
   /// graph becomes the queue's provenance sink, KV landings are tagged,
@@ -105,14 +110,32 @@ class ServeScheduler {
     Request req;
     sim::Time prefill_end = 0.0;
     sim::Time last_token = 0.0;
-    sim::Time ttft = 0.0;
     std::uint32_t generated = 0;
+  };
+
+  /// FIFO of slots; max_sessions entries suffice (a slot is in one queue).
+  class SlotRing {
+   public:
+    explicit SlotRing(std::size_t cap)
+        : buf_(std::bit_ceil(cap)), mask_(buf_.size() - 1) {}
+    bool empty() const { return n_ == 0; }
+    std::size_t size() const { return n_; }
+    Slot operator[](std::size_t i) const { return buf_[(head_ + i) & mask_]; }
+    void push_back(Slot s) { buf_[(head_ + n_++) & mask_] = s; }
+    void pop_front(std::size_t k) {
+      head_ = (head_ + k) & mask_;
+      n_ -= k;
+    }
+
+   private:
+    std::vector<Slot> buf_;
+    std::size_t mask_, head_ = 0, n_ = 0;
   };
 
   void drain_arrivals() TECO_REQUIRES(shard_);
   void prefill_iteration() TECO_REQUIRES(shard_);
   void decode_iteration() TECO_REQUIRES(shard_);
-  void complete(std::uint64_t id, sim::Time t) TECO_REQUIRES(shard_);
+  void complete(Slot s, sim::Time t) TECO_REQUIRES(shard_);
   void finalize() TECO_REQUIRES(shard_);
   /// Append a [from, to] node to the iteration chain (no-op unwired).
   void causal_note(obs::causal::Category cat, sim::Time from, sim::Time to)
@@ -129,14 +152,16 @@ class ServeScheduler {
   /// and KV migration event runs on this shard.
   TECO_QUEUE_CONTEXT(q_);
   cxl::Link link_;
+  ServeReport report_ TECO_SHARD_AFFINE(shard_);  ///< kv_ adds its fields.
   KvCacheManager kv_;
   ArrivalProcess arrivals_;
 
-  std::map<std::uint64_t, Session> sessions_ TECO_SHARD_AFFINE(shard_);
-  std::deque<std::uint64_t> waiting_ TECO_SHARD_AFFINE(shard_);
-  std::deque<std::uint64_t> running_ TECO_SHARD_AFFINE(shard_);
+  std::vector<Session> sessions_ TECO_SHARD_AFFINE(shard_);  ///< By slot.
+  std::vector<Slot> free_ TECO_SHARD_AFFINE(shard_);
+  SlotRing waiting_ TECO_SHARD_AFFINE(shard_);
+  SlotRing running_ TECO_SHARD_AFFINE(shard_);
+  std::vector<Slot> batch_ TECO_SHARD_AFFINE(shard_);  ///< Decode batch.
   std::optional<Request> pending_ TECO_SHARD_AFFINE(shard_);
-  ServeReport report_ TECO_SHARD_AFFINE(shard_);
   obs::causal::CausalGraph* causal_ TECO_SHARD_AFFINE(shard_) = nullptr;
   std::uint32_t causal_last_ TECO_SHARD_AFFINE(shard_) = sim::kNoCausalNode;
   std::vector<TtftRecord> ttft_records_ TECO_SHARD_AFFINE(shard_);

@@ -1,31 +1,13 @@
 // teco::serve — multi-tenant LLM inference serving over the CXL domain.
 //
-// Every other timeline in the repository is a training step; this subsystem
-// models the ROADMAP's "millions of users" workload: an open-loop arrival
-// process admits concurrent sessions, each with a per-token KV-cache that
-// grows through decode and pages between accelerator HBM and CXL DRAM on
-// the SAME cxl::Link channels the coherence/update streams ride — paging
-// and protocol traffic contend for wire bandwidth instead of being costed
-// independently, and every asynchronous landing is ordered by one shared
-// sim::EventQueue.
-//
-// The pipeline (arrival.hpp -> scheduler.hpp + kv_cache.hpp):
-//
-//   ArrivalProcess   seeded Poisson / bursty-MMPP / trace-driven request
-//                    stream (sim::Rng only — bit-identical replay).
-//   ServeScheduler   continuous batching with prefill/decode asymmetry:
-//                    batched compute-bound prefill iterations vs
-//                    latency-bound one-token-per-session decode iterations,
-//                    capacity admission at serve_sessions.
-//   KvCacheManager   session-granular KV residency across HBM / CXL DRAM,
-//                    executing page-ins, evictions and the update-push
-//                    write-through stream under a tier::Policy.
-//
-// SLO accounting follows the serving literature: time-to-first-token
-// (arrival -> end of the request's prefill iteration) and inter-token
-// latency are obs histograms (p50/p99/p999); a request attains its SLO when
-// it was admitted, its TTFT met serve_slo_ms and its mean inter-token
-// latency met the derived per-token budget. docs/SERVING.md is the guide.
+// An open-loop arrival process (arrival.hpp) admits concurrent sessions
+// whose per-token KV-caches grow through decode and page between HBM and
+// CXL DRAM (kv_cache.hpp) on the SAME cxl::Link the coherence/update
+// streams ride, under a continuous-batching scheduler (scheduler.hpp) on
+// one sim::EventQueue. TTFT and inter-token latency are obs histograms; a
+// request attains its SLO when it was admitted, its TTFT met serve_slo_ms
+// and its mean inter-token latency met the derived per-token budget.
+// docs/SERVING.md is the guide.
 #pragma once
 
 #include <cstdint>

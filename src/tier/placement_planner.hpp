@@ -51,6 +51,7 @@ struct VictimCandidate {
   std::uint64_t bytes = 0;       ///< HBM bytes freed by evicting it.
   sim::Time idle = 0.0;          ///< Time since the owner last ran.
   sim::Time next_use_gap = 0.0;  ///< Estimated time until it runs again.
+  std::uint64_t handle = 0;      ///< Caller's payload; never ordered on.
 };
 
 /// Sort candidates best-victim-first under the policy's selection logic:

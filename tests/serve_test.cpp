@@ -4,13 +4,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <string>
 #include <vector>
 
+#include "cxl/link.hpp"
 #include "obs/metrics.hpp"
 #include "serve/arrival.hpp"
 #include "serve/kv_cache.hpp"
 #include "serve/scheduler.hpp"
 #include "serve/serve.hpp"
+#include "serve_reference.hpp"
 #include "tier/placement_planner.hpp"
 
 namespace {
@@ -279,6 +283,207 @@ TEST(ServeScheduler, SeededRunReplaysBitIdentically) {
   bool saw_p999 = false;
   for (const auto& s : snap1) saw_p999 |= s.name == "serve.ttft_us.p999";
   EXPECT_TRUE(saw_p999);
+}
+
+/// Zero-delay fault hook: records every link submission, changes nothing.
+struct SendLog final : cxl::LinkFaultHook {
+  struct Send {
+    cxl::Direction dir;
+    sim::Time t;
+    cxl::Packet pkt;
+    std::uint64_t count;
+    bool operator==(const Send& o) const {
+      return dir == o.dir && t == o.t && pkt.type == o.pkt.type &&
+             pkt.addr == o.pkt.addr &&
+             pkt.payload_bytes == o.pkt.payload_bytes &&
+             pkt.dba_aggregated == o.pkt.dba_aggregated && count == o.count;
+    }
+  };
+  std::vector<Send> sends;
+  sim::Time transmit_delay(cxl::Direction dir, sim::Time t,
+                           const cxl::Packet& pkt, std::uint64_t n) override {
+    sends.push_back({dir, t, pkt, n});
+    return 0.0;
+  }
+};
+
+/// Everything a run exposes, for exact comparison across implementations.
+struct Outcome {
+  serve::ServeReport rep;
+  std::vector<std::pair<std::string, double>> snapshot;
+  std::vector<std::size_t> ttft_bins, tpot_bins;  ///< Incl. under/overflow.
+  std::vector<cxl::ChannelStats> channels;        ///< Down, up.
+  std::vector<SendLog::Send> sends;
+};
+
+std::vector<std::size_t> buckets(const obs::MetricsRegistry& reg,
+                                 const char* name) {
+  std::vector<std::size_t> out;
+  const obs::Hist* h = reg.find_histogram(name);
+  if (h == nullptr) return out;
+  const sim::Histogram& b = h->histogram();
+  out.push_back(b.underflow());
+  for (std::size_t i = 0; i < b.bins(); ++i) out.push_back(b.bin_count(i));
+  out.push_back(b.overflow());
+  return out;
+}
+
+/// Run `Sched` on `cfg`; `arm` may schedule events on its queue first.
+template <typename Sched>
+Outcome run_recorded(const serve::ServeConfig& cfg,
+                     const std::function<void(Sched&)>& arm = {}) {
+  Sched sched(cfg);
+  SendLog log;
+  sched.link().set_fault_hook(&log);
+  if (arm) arm(sched);
+  Outcome o;
+  o.rep = sched.run();
+  for (const auto& smp : sched.registry().samples()) {
+    o.snapshot.emplace_back(smp.name, smp.value);
+  }
+  o.ttft_bins = buckets(sched.registry(), "serve.ttft_us");
+  o.tpot_bins = buckets(sched.registry(), "serve.tpot_us");
+  for (const auto dir :
+       {cxl::Direction::kCpuToDevice, cxl::Direction::kDeviceToCpu}) {
+    o.channels.push_back(sched.link().channel(dir).stats());
+  }
+  o.sends = std::move(log.sends);
+  sched.link().set_fault_hook(nullptr);
+  return o;
+}
+
+void expect_same_report(const serve::ServeReport& a,
+                        const serve::ServeReport& b) {
+  EXPECT_EQ(a.offered, b.offered);
+  EXPECT_EQ(a.admitted, b.admitted);
+  EXPECT_EQ(a.rejected, b.rejected);
+  EXPECT_EQ(a.completed, b.completed);
+  EXPECT_EQ(a.slo_attained, b.slo_attained);
+  EXPECT_EQ(a.tokens_generated, b.tokens_generated);
+  EXPECT_EQ(a.makespan, b.makespan);  // Bitwise: same double.
+  for (const auto& [x, y] : {std::pair{a.ttft, b.ttft}, {a.tpot, b.tpot}}) {
+    EXPECT_EQ(x.p50, y.p50);
+    EXPECT_EQ(x.p99, y.p99);
+    EXPECT_EQ(x.p999, y.p999);
+  }
+  EXPECT_EQ(a.kv_pagein_bytes, b.kv_pagein_bytes);
+  EXPECT_EQ(a.kv_evict_bytes, b.kv_evict_bytes);
+  EXPECT_EQ(a.kv_clean_drops, b.kv_clean_drops);
+  EXPECT_EQ(a.kv_demand_fetches, b.kv_demand_fetches);
+  EXPECT_EQ(a.kv_prefetches, b.kv_prefetches);
+  EXPECT_EQ(a.kv_stall, b.kv_stall);
+  EXPECT_EQ(a.hbm_peak_bytes, b.hbm_peak_bytes);
+}
+
+void expect_same_channel(const cxl::ChannelStats& a,
+                         const cxl::ChannelStats& b) {
+  EXPECT_EQ(a.packets, b.packets);
+  EXPECT_EQ(a.payload_bytes, b.payload_bytes);
+  EXPECT_EQ(a.wire_bytes, b.wire_bytes);
+  EXPECT_EQ(a.busy_time, b.busy_time);
+  EXPECT_EQ(a.producer_stall, b.producer_stall);
+  EXPECT_EQ(a.stalled_packets, b.stalled_packets);
+  EXPECT_EQ(a.last_finish, b.last_finish);
+  EXPECT_EQ(a.last_delivery, b.last_delivery);
+  EXPECT_EQ(a.flits, b.flits);
+  EXPECT_EQ(a.retried_flits, b.retried_flits);
+  EXPECT_EQ(a.retry_time, b.retry_time);
+}
+
+TEST(ServeScheduler, MatchesMapBasedReference) {
+  // The slot-handle scheduler against a verbatim copy of the id-keyed one
+  // (tests/serve_reference.hpp): Poisson, bursty and trace arrivals under
+  // every policy, write-through on and off, lookahead off and on, and an
+  // HBM budget of about five prompts (evictions, overcommits) or thirteen
+  // (prefetch headroom), with fewer slots than the load needs (rejections).
+  // Every observable must match exactly, down to the order and timing of
+  // each link submission. The slot scheduler also runs read-only invariant
+  // probes every 0.5 ms of simulated time; matching the reference shows
+  // they perturb nothing.
+  // One trace request in five needs a single token: it completes inside
+  // its prefill group, between the group's KV appends.
+  std::vector<serve::TraceRequest> trace;
+  for (std::uint32_t i = 0; i < 48; ++i) {
+    trace.push_back({0.004 * (i / 3), 64 + 97 * (i % 7), 1 + 13 * (i % 5)});
+  }
+  std::vector<serve::ServeConfig> cfgs;
+  for (const auto arrival : {serve::ArrivalKind::kPoisson,
+                             serve::ArrivalKind::kBursty,
+                             serve::ArrivalKind::kTrace}) {
+    for (const auto policy :
+         {tier::Policy::kAllHbm, tier::Policy::kNaiveSwap,
+          tier::Policy::kMinStall, tier::Policy::kKnapsack}) {
+      for (int variant = 0; variant < 8; ++variant) {
+        serve::ServeConfig cfg;
+        cfg.arrival = arrival;
+        cfg.rate_rps = 60.0;
+        cfg.n_requests = 70;
+        cfg.seed = 40 + static_cast<std::uint64_t>(policy);
+        cfg.median_prompt_tokens = 256;
+        cfg.median_decode_tokens = 48;
+        if (arrival == serve::ArrivalKind::kTrace) cfg.trace = trace;
+        cfg.max_sessions = 16;
+        cfg.max_batch = 4;
+        cfg.policy = policy;
+        cfg.kv_writethrough = (variant & 1) != 0;
+        cfg.prefetch_depth = (variant & 2) != 0 ? 2 : 0;
+        cfg.hbm_kv_bytes = (variant & 4) != 0 ? 128 * kMiB : 48 * kMiB;
+        cfgs.push_back(cfg);
+      }
+    }
+  }
+
+  std::size_t evict_runs = 0, drop_runs = 0, reject_runs = 0;
+  std::size_t prefetch_runs = 0, overcommit_runs = 0, probes = 0;
+  for (const serve::ServeConfig& cfg : cfgs) {
+    SCOPED_TRACE(std::string(serve::to_string(cfg.arrival)) + " " +
+                 std::string(tier::to_string(cfg.policy)) + " wt " +
+                 std::to_string(cfg.kv_writethrough) + " depth " +
+                 std::to_string(cfg.prefetch_depth) + " hbm " +
+                 std::to_string(cfg.hbm_kv_bytes / kMiB));
+    std::vector<std::string> violations;
+    std::function<void()> probe;
+    const auto arm = [&](serve::ServeScheduler& s) {
+      probe = [&] {
+        ++probes;
+        for (auto& v : s.check_invariants()) violations.push_back(v);
+        s.queue().schedule_after(sim::us(500), probe);
+      };
+      s.queue().schedule_at(0.0, probe);
+    };
+    const Outcome got = run_recorded<serve::ServeScheduler>(cfg, arm);
+    const Outcome want = run_recorded<ref::ServeScheduler>(cfg);
+
+    EXPECT_TRUE(violations.empty()) << violations.front();
+    expect_same_report(got.rep, want.rep);
+    EXPECT_EQ(got.snapshot, want.snapshot);
+    EXPECT_EQ(got.ttft_bins, want.ttft_bins);
+    EXPECT_EQ(got.tpot_bins, want.tpot_bins);
+    ASSERT_EQ(got.channels.size(), want.channels.size());
+    for (std::size_t d = 0; d < got.channels.size(); ++d) {
+      expect_same_channel(got.channels[d], want.channels[d]);
+    }
+    ASSERT_EQ(got.sends.size(), want.sends.size());
+    for (std::size_t i = 0; i < got.sends.size(); ++i) {
+      ASSERT_TRUE(got.sends[i] == want.sends[i]) << "send " << i;
+    }
+    evict_runs += want.rep.kv_evict_bytes > 0;
+    drop_runs += want.rep.kv_clean_drops > 0;
+    reject_runs += want.rep.rejected > 0;
+    prefetch_runs += want.rep.kv_prefetches > 0;
+    for (const auto& [name, v] : want.snapshot) {
+      overcommit_runs += name == "serve.kv.overcommits" && v > 0.0;
+    }
+  }
+  // The sweep really reaches every path it claims to cover.
+  EXPECT_GT(probes, cfgs.size());
+  EXPECT_GT(evict_runs, 0u);
+  EXPECT_GT(drop_runs, 0u);
+  EXPECT_GT(reject_runs, 0u);
+  EXPECT_GT(prefetch_runs, 0u);
+#ifndef TECO_OBS_DISABLED
+  EXPECT_GT(overcommit_runs, 0u);
+#endif
 }
 
 TEST(ServeVictimOrder, PoliciesRankCandidatesDistinctly) {
