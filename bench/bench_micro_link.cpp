@@ -5,6 +5,7 @@
 // modeled hardware.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "compress/lz4.hpp"
@@ -18,6 +19,7 @@
 #include "dba/disaggregator.hpp"
 #include "dl/attention.hpp"
 #include "dl/fp16.hpp"
+#include "dl/tensor.hpp"
 #include "mem/backing_store.hpp"
 #include "mem/cache.hpp"
 #include "mem/hierarchy.hpp"
@@ -312,6 +314,24 @@ void BM_AdamSweepHierarchy(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * (1 << 16));
 }
 BENCHMARK(BM_AdamSweepHierarchy);
+
+// The MLP activation of one train_dba forward: tanh over TinyTransformer's
+// 32 x 64 pre-activations, refreshed from a copy each iteration so every
+// pass sees the same inputs.
+void BM_TanhActivation(benchmark::State& state) {
+  sim::Rng rng(8);
+  std::vector<float> pre(32 * 64);
+  for (auto& x : pre) x = static_cast<float>(rng.next_gaussian()) * 1.5f;
+  std::vector<float> z(pre.size());
+  for (auto _ : state) {
+    std::copy(pre.begin(), pre.end(), z.begin());
+    dl::tanh(z);
+    benchmark::DoNotOptimize(z.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * pre.size());
+}
+BENCHMARK(BM_TanhActivation);
 
 void BM_TransformerStep(benchmark::State& state) {
   dl::TransformerConfig cfg;

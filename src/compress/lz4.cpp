@@ -1,5 +1,6 @@
 #include "compress/lz4.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 
@@ -92,8 +93,12 @@ std::vector<std::uint8_t> lz4_compress(std::span<const std::uint8_t> src) {
 
 std::vector<std::uint8_t> lz4_decompress(std::span<const std::uint8_t> src,
                                          std::size_t decompressed_size) {
-  std::vector<std::uint8_t> out;
-  out.reserve(decompressed_size);
+  // One allocation of the declared size; every literal run and match is
+  // checked against it before it is copied, so a stream cannot grow the
+  // output past what its caller declared.
+  std::vector<std::uint8_t> out(decompressed_size);
+  std::uint8_t* const dst = out.data();
+  std::size_t op = 0;
   std::size_t ip = 0;
   const std::size_t n = src.size();
 
@@ -109,28 +114,42 @@ std::vector<std::uint8_t> lz4_decompress(std::span<const std::uint8_t> src,
     }
     return len;
   };
+  auto check_room = [&](std::size_t len) {
+    if (len > decompressed_size - op) {
+      throw std::runtime_error("lz4: output exceeds the declared size");
+    }
+  };
 
   while (ip < n) {
     const std::uint8_t token = src[ip++];
     const std::size_t lit_len = read_length(token >> 4);
-    if (ip + lit_len > n) throw std::runtime_error("lz4: truncated literals");
-    out.insert(out.end(), src.begin() + ip, src.begin() + ip + lit_len);
+    if (lit_len > n - ip) throw std::runtime_error("lz4: truncated literals");
+    check_room(lit_len);
+    if (lit_len != 0) std::memcpy(dst + op, src.data() + ip, lit_len);
+    op += lit_len;
     ip += lit_len;
     if (ip >= n) break;  // Final literals-only sequence.
     if (ip + 2 > n) throw std::runtime_error("lz4: truncated offset");
     const std::size_t offset = src[ip] | (src[ip + 1] << 8);
     ip += 2;
-    if (offset == 0 || offset > out.size()) {
+    if (offset == 0 || offset > op) {
       throw std::runtime_error("lz4: invalid offset");
     }
     const std::size_t match_len = read_length(token & 0x0F) + kMinMatch;
-    // Overlapping copies are legal (offset < match_len): copy byte-wise.
-    std::size_t from = out.size() - offset;
-    for (std::size_t i = 0; i < match_len; ++i) {
-      out.push_back(out[from + i]);
+    check_room(match_len);
+    // The match repeats the `offset` bytes before it. Each chunk copies
+    // from the match's source start and never reaches past what is already
+    // written, so the chunks double: offset, 2*offset, 4*offset, ...
+    std::uint8_t* const to = dst + op;
+    const std::uint8_t* const from = to - offset;
+    for (std::size_t done = 0; done < match_len;) {
+      const std::size_t chunk = std::min(done + offset, match_len - done);
+      std::memcpy(to + done, from, chunk);
+      done += chunk;
     }
+    op += match_len;
   }
-  if (out.size() != decompressed_size) {
+  if (op != decompressed_size) {
     throw std::runtime_error("lz4: size mismatch after decompression");
   }
   return out;

@@ -3,8 +3,10 @@
 // ZeRO-Offload keeps optimizer states (m, v) and FP32 master parameters in
 // CPU memory; each training step clips gradients by global norm (phase 4)
 // and runs a vectorized Adam sweep (phase 5). The sweep is a streaming pass
-// over four arrays — that streaming store of updated parameters is exactly
-// the cache-line writeback stream the update protocol taps.
+// over four arrays, four lanes at a time with a packed square root, and
+// bit-identical to the plain scalar loop — that streaming store of updated
+// parameters is exactly the cache-line writeback stream the update protocol
+// taps.
 #pragma once
 
 #include <cstddef>

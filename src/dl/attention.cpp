@@ -112,7 +112,7 @@ const Tensor& TinyTransformer::forward(const Tensor& x) {
   // MLP with residual.
   fill_rows(z_, P(lay_.b1, f));
   gemm(Op::kN, Op::kT, rows, f, d, r1_.data(), w + lay_.w1, z_.data());
-  for (auto& v : z_.flat()) v = std::tanh(v);
+  dl::tanh(z_.flat());
   fill_rows(r2_, P(lay_.b2, d));
   gemm(Op::kN, Op::kT, rows, d, f, z_.data(), w + lay_.w2, r2_.data());
   for (std::size_t i = 0; i < rows * d; ++i) r2_.flat()[i] += r1_.flat()[i];

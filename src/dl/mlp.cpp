@@ -47,9 +47,7 @@ const Tensor& Mlp::forward(const Tensor& x) {
     gemm(Op::kN, Op::kT, cur->rows(), lv.out, lv.in, cur->data(),
          params_.data() + lv.w_off, pre_act_[l].data());
     post_act_[l] = pre_act_[l];
-    if (l + 1 < layers_.size()) {
-      for (auto& v : post_act_[l].flat()) v = std::tanh(v);
-    }
+    if (l + 1 < layers_.size()) dl::tanh(post_act_[l].flat());
     cur = &post_act_[l];
   }
   return post_act_.back();

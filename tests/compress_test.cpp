@@ -1,8 +1,12 @@
 // LZ4 codec + compression cost-model tests.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <span>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "compress/lz4.hpp"
 #include "compress/param_corpus.hpp"
@@ -19,11 +23,56 @@ std::vector<std::uint8_t> bytes_of(const std::string& s) {
   return {s.begin(), s.end()};
 }
 
+/// The byte-at-a-time decoder lz4_decompress replaced, kept as its oracle.
+std::vector<std::uint8_t> legacy_lz4_decompress(
+    std::span<const std::uint8_t> src, std::size_t decompressed_size) {
+  std::vector<std::uint8_t> out;
+  out.reserve(decompressed_size);
+  std::size_t ip = 0;
+  const std::size_t n = src.size();
+  auto read_length = [&](std::size_t initial) {
+    std::size_t len = initial;
+    if (initial == 15) {
+      std::uint8_t b;
+      do {
+        if (ip >= n) throw std::runtime_error("lz4: truncated length");
+        b = src[ip++];
+        len += b;
+      } while (b == 255);
+    }
+    return len;
+  };
+  while (ip < n) {
+    const std::uint8_t token = src[ip++];
+    const std::size_t lit_len = read_length(token >> 4);
+    if (ip + lit_len > n) throw std::runtime_error("lz4: truncated literals");
+    out.insert(out.end(), src.begin() + ip, src.begin() + ip + lit_len);
+    ip += lit_len;
+    if (ip >= n) break;
+    if (ip + 2 > n) throw std::runtime_error("lz4: truncated offset");
+    const std::size_t offset = src[ip] | (src[ip + 1] << 8);
+    ip += 2;
+    if (offset == 0 || offset > out.size()) {
+      throw std::runtime_error("lz4: invalid offset");
+    }
+    const std::size_t match_len = read_length(token & 0x0F) + 4;
+    std::size_t from = out.size() - offset;
+    for (std::size_t i = 0; i < match_len; ++i) {
+      out.push_back(out[from + i]);
+    }
+  }
+  if (out.size() != decompressed_size) {
+    throw std::runtime_error("lz4: size mismatch after decompression");
+  }
+  return out;
+}
+
 void expect_roundtrip(const std::vector<std::uint8_t>& src) {
   const auto c = lz4_compress(src);
   const auto d = lz4_decompress(c, src.size());
   ASSERT_EQ(d.size(), src.size());
   EXPECT_EQ(d, src);
+  EXPECT_EQ(d, legacy_lz4_decompress(c, src.size()));
 }
 
 TEST(Lz4, EmptyInput) {
@@ -95,6 +144,59 @@ TEST(Lz4, MalformedInputThrows) {
   // Size mismatch.
   const auto c = lz4_compress(bytes_of("hello world, hello world, hello"));
   EXPECT_THROW((void)lz4_decompress(c, 7), std::runtime_error);
+}
+
+TEST(Lz4, AmplifyingStreamRejectedBeforeItGrows) {
+  // One literal, then a match at offset 1 whose length runs on 255-bytes:
+  // 64 stream bytes ask for ~15 KB. The decoder must refuse at the match,
+  // not after writing it.
+  std::vector<std::uint8_t> stream = {0x1F, 'a', 0x01, 0x00};
+  stream.insert(stream.end(), 59, 255);
+  stream.push_back(0);
+  try {
+    (void)lz4_decompress(stream, 64);
+    ADD_FAILURE() << "amplifying stream decoded";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("exceeds the declared size"),
+              std::string::npos)
+        << e.what();
+  }
+  // A literal run longer than the declared size is refused the same way.
+  const std::vector<std::uint8_t> literals = {0x50, 1, 2, 3, 4, 5};
+  EXPECT_THROW((void)lz4_decompress(literals, 4), std::runtime_error);
+  EXPECT_EQ(lz4_decompress(literals, 5),
+            (std::vector<std::uint8_t>{1, 2, 3, 4, 5}));
+}
+
+TEST(Lz4, OverlappingMatchesMatchLegacyDecoder) {
+  // Every short offset against match lengths around the chunk doublings,
+  // each followed by a final literal, on hand-built streams.
+  for (std::size_t offset = 1; offset <= 17; ++offset) {
+    for (std::size_t match_len = 4; match_len <= 80; match_len += 3) {
+      std::vector<std::uint8_t> stream;
+      const std::size_t ml_code = match_len - 4;
+      stream.push_back(static_cast<std::uint8_t>(
+          (std::min<std::size_t>(offset, 15) << 4) |
+          std::min<std::size_t>(ml_code, 15)));
+      if (offset >= 15) stream.push_back(static_cast<std::uint8_t>(offset - 15));
+      for (std::size_t i = 0; i < offset; ++i) {
+        stream.push_back(static_cast<std::uint8_t>(17 * i + 3));
+      }
+      stream.push_back(static_cast<std::uint8_t>(offset));
+      stream.push_back(0);
+      if (ml_code >= 15) {
+        std::size_t rest = ml_code - 15;
+        for (; rest >= 255; rest -= 255) stream.push_back(255);
+        stream.push_back(static_cast<std::uint8_t>(rest));
+      }
+      stream.push_back(0x10);  // Final sequence: one literal.
+      stream.push_back(0xEE);
+      const std::size_t size = offset + match_len + 1;
+      EXPECT_EQ(lz4_decompress(stream, size),
+                legacy_lz4_decompress(stream, size))
+          << "offset " << offset << " match " << match_len;
+    }
+  }
 }
 
 class Lz4RoundTrip
